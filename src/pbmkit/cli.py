@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from .dsl import Document, ParseError, parse, serialize
-from .model import Admission, UnknownReferenceError
+from .model import UnknownReferenceError
 from .netrepo import (
     PdpServer,
     PepSession,
@@ -29,9 +29,9 @@ from .netrepo import (
 from .pdp import DEFAULT_PROFILES, TranslationError, detect_conflicts, translate_to_device
 from .pep_sim import (
     AllocationReport,
-    FlowAllocation,
     TraceError,
-    allocate,
+    check_trace,
+    enforce,
     read_trace,
     replay,
     write_report,
@@ -179,53 +179,20 @@ def _cmd_pdp_serve(args) -> int:
 
 def _cmd_pep_run(args) -> int:
     host, port = args.connect
-    if args.step < 1:
-        raise _Finding("step must be at least 1")
     with open(args.trace, encoding="utf-8") as handle:
         flows = read_trace(handle)
-    for earlier, later in zip(flows, flows[1:]):
-        if later.timestamp < earlier.timestamp:
-            raise _Finding("trace flows must be ordered by timestamp")
+    check_trace(flows, args.step)
     reports: list[AllocationReport] = []
-    counter = 0
     with PepSession(host, port) as session:
-        start = 0
-        while start < len(flows):
-            bucket = flows[start].timestamp // args.step
-            end = start
-            while end < len(flows) and flows[end].timestamp // args.step == bucket:
-                end += 1
-            batch = flows[start:end]
-            names = [f"f{counter + offset + 1}" for offset in range(len(batch))]
-            counter += len(batch)
-            decisions = [session.request(flow) for flow in batch]
-            grants = allocate(
-                [(d, f.demand_kbps) for d, f in zip(decisions, batch)], args.capacity
-            )
-            report = AllocationReport(
-                timestep=bucket * args.step,
-                flows=tuple(
-                    FlowAllocation(
-                        flow=name,
-                        rules=decision.matched,
-                        granted_kbps=grant,
-                        demand_kbps=flow.demand_kbps,
-                        denied=decision.admission is Admission.DENY,
-                    )
-                    for name, decision, flow, grant in zip(names, decisions, batch, grants)
-                ),
-                capacity_kbps=args.capacity,
-                used_kbps=sum(grants),
-            )
+        for report in enforce(flows, args.capacity, args.step, session.request):
             session.report(report.timestep, report.capacity_kbps, report.used_kbps)
             reports.append(report)
-            start = end
     if args.report is None:
         write_report(reports, sys.stdout)
     else:
         with open(args.report, "w", encoding="utf-8") as handle:
             write_report(reports, handle)
-        print(f"{len(reports)} steps, {counter} flows")
+        print(f"{len(reports)} steps, {len(flows)} flows")
     return 0
 
 

@@ -11,7 +11,9 @@ byte 0x01, a kind byte, a big-endian 32-bit payload length, then the
 payload as sorted key=value lines.  PdpServer answers REQ frames with
 DEC decisions, acknowledges RPT usage reports, and pushes SYNC frames
 carrying the canonical document whenever the repository gains a
-version; PepSession is the matching client.
+version; PepSession is the matching client.  A DEC frame carries the
+whole Decision, including the bandwidth bound of each matched rule, so a
+client allocates from it exactly as local replay does.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from enum import IntEnum
 from typing import Sequence
 
 from .dsl import Document, parse, serialize
-from .model import Catalogs, FlowDescriptor, PolicyRule
-from .pdp import Decision, DecisionFlag, decide
+from .model import Admission, Bandwidth, Catalogs, FlowDescriptor, PolicyRule, Scope
+from .pdp import Decision, DecisionFlag, RuleBound, decide
 
 
 class ProtocolError(Exception):
@@ -205,15 +207,41 @@ def read_message(sock: socket.socket) -> Message | None:
 # -- field codecs --------------------------------------------------------------
 
 _FLAG_BY_NAME = {flag.value: flag for flag in DecisionFlag}
+_SCOPE_TAGS = {Scope.PER_CONNECTION: "conn", Scope.AGGREGATE: "agg"}
+_SCOPE_BY_TAG = {tag: scope for scope, tag in _SCOPE_TAGS.items()}
+
+
+def _optional(value: int | None) -> str:
+    return "-" if value is None else str(value)
+
+
+def _bound_text(bound: RuleBound) -> str:
+    bw = bound.bandwidth
+    return ":".join(
+        (bound.rule_id, _SCOPE_TAGS[bw.scope], _optional(bw.min_kbps),
+         _optional(bw.max_kbps), _optional(bound.priority))
+    )
+
+
+def _bound_from_text(text: str) -> RuleBound:
+    parts = text.split(":")
+    if len(parts) != 5:
+        raise ValueError(f"bound {text!r} needs 5 parts, got {len(parts)}")
+    rule_id, scope, low, high, priority = parts
+    low_kbps, high_kbps, prio = (None if v == "-" else int(v) for v in (low, high, priority))
+    if prio is not None and not 1 <= prio <= 9:
+        raise ValueError(f"bound priority must be in 1..9, got {prio}")
+    return RuleBound(rule_id, Bandwidth(low_kbps, high_kbps, _SCOPE_BY_TAG[scope]), prio)
 
 
 def decision_fields(decision: Decision) -> dict[str, str]:
     return {
         "admission": decision.admission.value,
+        "bounds": ",".join(_bound_text(b) for b in decision.bounds) or "-",
         "flags": ",".join(sorted(f.value for f in decision.flags)) or "-",
         "matched": ",".join(decision.matched) or "-",
-        "max": "-" if decision.effective_max_kbps is None else str(decision.effective_max_kbps),
-        "min": "-" if decision.effective_min_kbps is None else str(decision.effective_min_kbps),
+        "max": _optional(decision.effective_max_kbps),
+        "min": _optional(decision.effective_min_kbps),
         "priority": str(decision.priority),
     }
 
@@ -226,10 +254,8 @@ def _require(fields: dict[str, str], keys: Sequence[str]) -> list[str]:
 
 
 def decision_from_fields(fields: dict[str, str]) -> Decision:
-    from .model import Admission
-
-    admission, flags, matched, max_text, min_text, priority = _require(
-        fields, ("admission", "flags", "matched", "max", "min", "priority")
+    admission, bounds, flags, matched, max_text, min_text, priority = _require(
+        fields, ("admission", "bounds", "flags", "matched", "max", "min", "priority")
     )
     try:
         flag_set = frozenset(
@@ -242,6 +268,9 @@ def decision_from_fields(fields: dict[str, str]) -> Decision:
             effective_max_kbps=None if max_text == "-" else int(max_text),
             priority=int(priority),
             flags=flag_set,
+            bounds=tuple(
+                _bound_from_text(entry) for entry in bounds.split(",")
+            ) if bounds != "-" else (),
         )
     except (KeyError, ValueError) as exc:
         raise ProtocolError(f"bad decision payload: {exc}") from None
@@ -426,6 +455,10 @@ class PdpServer:
     def stop(self):
         self._closing.set()
         if self._listener is not None:
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

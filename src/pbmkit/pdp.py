@@ -4,7 +4,9 @@ decide() combines every rule whose condition matches a flow: an explicit
 Deny dominates, effective bandwidth bounds are the tightest of the matched
 bounds (largest min, smallest max; min is clamped to max and flagged when
 they cross), and priority comes from the first matched rule that sets one.
-A flow matching no rule is allowed at priority 1 with no bounds.
+A flow matching no rule is allowed at priority 1 with no bounds.  An
+allowed decision also lists each matched rule's bandwidth action, which
+is what enforcement turns into per-connection limits and aggregate pipes.
 
 detect_conflicts() examines every rule pair whose condition spaces overlap
 and attaches a deterministic witness flow taken from the overlap: the
@@ -16,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from ipaddress import IPv4Address, IPv4Network
+from typing import NamedTuple, Sequence
 
 from .model import (
     Admission,
+    Bandwidth,
     Catalogs,
     Condition,
     DAY_NAMES,
@@ -40,6 +44,25 @@ class DecisionFlag(Enum):
     ADMISSION_CONTRADICTION = "AdmissionContradiction"
 
 
+class RuleBound(NamedTuple):
+    """A matched rule's bandwidth action and the priority the rule sets."""
+
+    rule_id: str
+    bandwidth: Bandwidth
+    priority: int | None
+
+
+def fold_bounds(bandwidths: Sequence[Bandwidth]) -> tuple[int | None, int | None, bool]:
+    """Tightest (min, max) of the given bounds, and whether min was clamped to max."""
+    mins = [bw.min_kbps for bw in bandwidths if bw.min_kbps is not None]
+    maxes = [bw.max_kbps for bw in bandwidths if bw.max_kbps is not None]
+    low = max(mins) if mins else None
+    high = min(maxes) if maxes else None
+    if low is not None and high is not None and low > high:
+        return high, high, True
+    return low, high, False
+
+
 @dataclass(frozen=True)
 class Decision:
     """Outcome of evaluating a rule set against one flow."""
@@ -50,12 +73,15 @@ class Decision:
     effective_max_kbps: int | None
     priority: int
     flags: frozenset[DecisionFlag] = frozenset()
+    bounds: tuple[RuleBound, ...] = ()
 
     def __post_init__(self):
         if not (1 <= self.priority <= 9):
             raise ValueError(f"decision priority must be in 1..9, got {self.priority}")
         if self.admission is Admission.DENY and (
-            self.effective_min_kbps is not None or self.effective_max_kbps is not None
+            self.effective_min_kbps is not None
+            or self.effective_max_kbps is not None
+            or self.bounds
         ):
             raise ValueError("a denied decision cannot carry bandwidth bounds")
         if (
@@ -81,27 +107,16 @@ def decide(
     priority = next(
         (r.actions.priority for r in matched if r.actions.priority is not None), 1
     )
-    effective_min = effective_max = None
+    bounds: tuple[RuleBound, ...] = ()
     if not denied:
-        mins = [
-            r.actions.bandwidth.min_kbps
+        bounds = tuple(
+            RuleBound(r.id, r.actions.bandwidth, r.actions.priority)
             for r in matched
-            if r.actions.bandwidth is not None and r.actions.bandwidth.min_kbps is not None
-        ]
-        maxes = [
-            r.actions.bandwidth.max_kbps
-            for r in matched
-            if r.actions.bandwidth is not None and r.actions.bandwidth.max_kbps is not None
-        ]
-        effective_min = max(mins) if mins else None
-        effective_max = min(maxes) if maxes else None
-        if (
-            effective_min is not None
-            and effective_max is not None
-            and effective_min > effective_max
-        ):
-            effective_min = effective_max
-            flags.add(DecisionFlag.MIN_EXCEEDS_MAX)
+            if r.actions.bandwidth is not None
+        )
+    effective_min, effective_max, clamped = fold_bounds([b.bandwidth for b in bounds])
+    if clamped:
+        flags.add(DecisionFlag.MIN_EXCEEDS_MAX)
     return Decision(
         matched=tuple(r.id for r in matched),
         admission=Admission.DENY if denied else Admission.ALLOW,
@@ -109,6 +124,7 @@ def decide(
         effective_max_kbps=effective_max,
         priority=priority,
         flags=frozenset(flags),
+        bounds=bounds,
     )
 
 
@@ -284,15 +300,12 @@ SHAPERCONF_V1 = "shaperconf-v1"
 class DeviceProfile:
     name: str
     dialect: str
-    capacity_kbps: int
     supported: frozenset[str]  # subset of ACTION_KINDS
 
 
 DEFAULT_PROFILES = {
-    "shaper": DeviceProfile("shaper", SHAPERCONF_V1, 100_000, frozenset(ACTION_KINDS)),
-    "filter": DeviceProfile(
-        "filter", SHAPERCONF_V1, 100_000, frozenset(("admission", "priority"))
-    ),
+    "shaper": DeviceProfile("shaper", SHAPERCONF_V1, frozenset(ACTION_KINDS)),
+    "filter": DeviceProfile("filter", SHAPERCONF_V1, frozenset(("admission", "priority"))),
 }
 
 

@@ -16,16 +16,22 @@ members one kilobit per round.
 Phase B pours the leftover pool over admitted flows tier by tier in
 round-robin rounds of one kilobit, implemented in equal-sized chunks for
 speed.  Denied flows take no part and receive nothing.
+
+enforce() is the one enforcement pipeline: it buckets a trace into time
+steps, asks a decide callable for each flow, and allocates each step from
+the bandwidth bounds the decisions carry.  replay() feeds it the local
+decide(); the `pep run` client feeds it remote decisions, so both give
+the same reports.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
 from ipaddress import IPv4Address
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import Admission, Catalogs, FlowDescriptor, PolicyRule, Scope
-from .pdp import Decision, decide
+from .pdp import Decision, RuleBound, decide, fold_bounds
 
 
 class TraceError(Exception):
@@ -49,7 +55,6 @@ class Pipe:
     max_kbps: int | None
     priority: int
     members: tuple[int, ...]
-    scope: Scope = Scope.AGGREGATE
 
     def __post_init__(self):
         if self.min_kbps is None and self.max_kbps is None:
@@ -318,33 +323,74 @@ def read_trace(lines: Iterable[str]) -> list[FlowDescriptor]:
     return flows
 
 
-def _connection_view(decision: Decision, rules_by_id: dict[str, PolicyRule]) -> Decision:
-    """Refold a decision keeping only per-connection bounds.
+def check_trace(flows: Sequence[FlowDescriptor], step_seconds: int) -> None:
+    """Raise ValueError unless step_seconds >= 1 and flows are in timestamp order."""
+    if step_seconds < 1:
+        raise ValueError("step must be at least 1")
+    for earlier, later in zip(flows, flows[1:]):
+        if later.timestamp < earlier.timestamp:
+            raise ValueError("trace flows must be ordered by timestamp")
 
-    Aggregate bounds are enforced through pipes during replay, so the
-    per-flow decision handed to allocate() must not repeat them.
+
+def enforce(
+    flows: Sequence[FlowDescriptor],
+    capacity_kbps: int,
+    step_seconds: int,
+    decide_flow: Callable[[FlowDescriptor], Decision],
+) -> Iterator[AllocationReport]:
+    """Decide each flow with decide_flow and allocate the link, one report per step.
+
+    Per-connection bounds limit their own flow; each aggregate bound
+    becomes one pipe over the flows of the step that matched it.
     """
-    mins: list[int] = []
-    maxes: list[int] = []
-    for rule_id in decision.matched:
-        bw = rules_by_id[rule_id].actions.bandwidth
-        if bw is None or bw.scope is not Scope.PER_CONNECTION:
-            continue
-        if bw.min_kbps is not None:
-            mins.append(bw.min_kbps)
-        if bw.max_kbps is not None:
-            maxes.append(bw.max_kbps)
-    effective_min = max(mins) if mins else None
-    effective_max = min(maxes) if maxes else None
-    if effective_min is not None and effective_max is not None:
-        effective_min = min(effective_min, effective_max)
-    return Decision(
-        matched=decision.matched,
-        admission=decision.admission,
-        effective_min_kbps=effective_min,
-        effective_max_kbps=effective_max,
-        priority=decision.priority,
-    )
+    check_trace(flows, step_seconds)
+    start = 0
+    while start < len(flows):
+        bucket = flows[start].timestamp // step_seconds
+        end = start
+        while end < len(flows) and flows[end].timestamp // step_seconds == bucket:
+            end += 1
+        batch = flows[start:end]
+        decisions = [decide_flow(flow) for flow in batch]
+        alloc_inputs = []
+        pipe_members: dict[RuleBound, list[int]] = {}
+        for index, (decision, flow) in enumerate(zip(decisions, batch)):
+            per_connection = []
+            for bound in decision.bounds:
+                if bound.bandwidth.scope is Scope.PER_CONNECTION:
+                    per_connection.append(bound.bandwidth)
+                else:
+                    pipe_members.setdefault(bound, []).append(index)
+            low, high, _ = fold_bounds(per_connection)
+            view = Decision(decision.matched, decision.admission, low, high, decision.priority)
+            alloc_inputs.append((view, flow.demand_kbps))
+        pipes = [
+            Pipe(
+                rule_id=bound.rule_id,
+                min_kbps=bound.bandwidth.min_kbps,
+                max_kbps=bound.bandwidth.max_kbps,
+                priority=bound.priority or 1,
+                members=tuple(members),
+            )
+            for bound, members in pipe_members.items()
+        ]
+        grants = allocate(alloc_inputs, capacity_kbps, pipes)
+        yield AllocationReport(
+            timestep=bucket * step_seconds,
+            flows=tuple(
+                FlowAllocation(
+                    flow=f"f{start + offset + 1}",
+                    rules=decision.matched,
+                    granted_kbps=grant,
+                    demand_kbps=flow.demand_kbps,
+                    denied=decision.admission is Admission.DENY,
+                )
+                for offset, (decision, flow, grant) in enumerate(zip(decisions, batch, grants))
+            ),
+            capacity_kbps=capacity_kbps,
+            used_kbps=sum(grants),
+        )
+        start = end
 
 
 def replay(
@@ -354,72 +400,10 @@ def replay(
     capacity_kbps: int,
     step_seconds: int = 1,
 ) -> list[AllocationReport]:
-    """Decide and allocate a trace, one report per time step."""
-    if step_seconds < 1:
-        raise ValueError("step_seconds must be at least 1")
-    for earlier, later in zip(flows, flows[1:]):
-        if later.timestamp < earlier.timestamp:
-            raise ValueError("trace flows must be ordered by timestamp")
-    rules_by_id = {rule.id: rule for rule in rules}
-    reports: list[AllocationReport] = []
-    start = 0
-    counter = 0
-    while start < len(flows):
-        bucket = flows[start].timestamp // step_seconds
-        end = start
-        while end < len(flows) and flows[end].timestamp // step_seconds == bucket:
-            end += 1
-        batch = flows[start:end]
-        names = [f"f{counter + offset + 1}" for offset in range(len(batch))]
-        counter += len(batch)
-        decisions = [decide(rules, flow, catalogs) for flow in batch]
-        alloc_inputs = [
-            (_connection_view(d, rules_by_id), flow.demand_kbps)
-            for d, flow in zip(decisions, batch)
-        ]
-        pipe_rules: dict[str, list[int]] = {}
-        for index, decision in enumerate(decisions):
-            if decision.admission is not Admission.ALLOW:
-                continue
-            for rule_id in decision.matched:
-                bw = rules_by_id[rule_id].actions.bandwidth
-                if bw is not None and bw.scope is Scope.AGGREGATE:
-                    pipe_rules.setdefault(rule_id, []).append(index)
-        pipes = []
-        for rule_id, members in pipe_rules.items():
-            rule = rules_by_id[rule_id]
-            bw = rule.actions.bandwidth
-            assert bw is not None
-            pipes.append(
-                Pipe(
-                    rule_id=rule_id,
-                    min_kbps=bw.min_kbps,
-                    max_kbps=bw.max_kbps,
-                    priority=rule.actions.priority or 1,
-                    members=tuple(members),
-                )
-            )
-        grants = allocate(alloc_inputs, capacity_kbps, pipes)
-        allocations = tuple(
-            FlowAllocation(
-                flow=name,
-                rules=decision.matched,
-                granted_kbps=grant,
-                demand_kbps=flow.demand_kbps,
-                denied=decision.admission is Admission.DENY,
-            )
-            for name, decision, flow, grant in zip(names, decisions, batch, grants)
-        )
-        reports.append(
-            AllocationReport(
-                timestep=bucket * step_seconds,
-                flows=allocations,
-                capacity_kbps=capacity_kbps,
-                used_kbps=sum(grants),
-            )
-        )
-        start = end
-    return reports
+    """Decide locally and allocate a trace, one report per time step."""
+    return list(
+        enforce(flows, capacity_kbps, step_seconds, lambda flow: decide(rules, flow, catalogs))
+    )
 
 
 def write_report(reports: Sequence[AllocationReport], out) -> None:

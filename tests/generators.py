@@ -25,7 +25,7 @@ from pbmkit.model import (
     TimeWindow,
 )
 from pbmkit.netrepo import Message, MessageKind
-from pbmkit.pdp import Decision
+from pbmkit.pdp import Decision, RuleBound
 from pbmkit.pep_sim import Pipe
 
 # networks inside one /29 pool, so exhaustive address sampling stays tiny
@@ -127,7 +127,12 @@ def gen_decision(rng: random.Random) -> Decision:
     max_kbps = None
     if rng.random() < 0.4:
         max_kbps = rng.randint(min_kbps or 1, 1600)
-    return Decision((), Admission.ALLOW, min_kbps, max_kbps, rng.randint(1, 9))
+    bounds = tuple(
+        RuleBound(f"R{i + 1}", bandwidth, rng.choice((None, rng.randint(1, 9))))
+        for i in range(rng.choice((0, 0, 1, 2, 3)))
+        if (bandwidth := gen_actions(rng).bandwidth) is not None
+    )
+    return Decision((), Admission.ALLOW, min_kbps, max_kbps, rng.randint(1, 9), bounds=bounds)
 
 
 def gen_allocate_instance(
@@ -362,9 +367,18 @@ def gen_message(rng: random.Random) -> Message:
     return Message(kind, fields)
 
 
-def gen_flow(rng: random.Random, targeted: bool = False) -> FlowDescriptor:
-    """Random flow; targeted flows aim at the bundled case-study rules."""
-    if targeted:
+def gen_flow(
+    rng: random.Random, targeted: bool = False, pooled: bool = False
+) -> FlowDescriptor:
+    """Random flow; targeted flows aim at the bundled case-study rules,
+    pooled flows at the addresses and ports of gen_catalogs_and_rules."""
+    if pooled:
+        src = IPv4Address(f"10.0.0.{rng.randrange(8)}")
+        dst = IPv4Address(f"10.0.0.{rng.randrange(8)}")
+        proto = rng.choice(("tcp", "udp"))
+        port = rng.choice(_PORT_LOWS) + rng.randint(0, 30)
+        ts = rng.choice((0, 300_000, 600_000)) + rng.randint(0, 1200)
+    elif targeted:
         src = rng.choice(
             (
                 IPv4Address("10.1.1.3"),

@@ -149,6 +149,23 @@ def test_simulate_writes_report(compiled, tmp_path, capsys):
     assert report.read_text() == EXPECTED_REPORT
 
 
+def test_simulate_denied_flow_with_per_connection_bound(compiled, tmp_path, capsys):
+    # P9 denies the flow while P5 gives it a per-connection minimum
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        "ts,src,dst,proto,port,demand_kbps\n"
+        "399600,10.1.4.0,198.18.0.9,tcp,6881,100\n"
+    )
+    report = tmp_path / "report.csv"
+    rc = main(["simulate", compiled, "--trace", str(trace),
+               "--capacity", "2000", "--report", str(report)])
+    assert rc == 0
+    assert report.read_text() == (
+        "ts,flow,rules,granted_kbps,demand_kbps,denied\n"
+        "399600,f1,P5;P9,0,100,true\n"
+    )
+
+
 def test_simulate_missing_trace(compiled, tmp_path, capsys):
     rc = main(["simulate", compiled, "--trace", str(tmp_path / "nope.csv"),
                "--capacity", "2000", "--report", str(tmp_path / "r.csv")])
@@ -287,6 +304,7 @@ def test_serve_and_run_over_tcp(compiled, tmp_path, capsys):
     proc = subprocess.Popen(
         [sys.executable, "-m", "pbmkit.cli", "pdp", "serve",
          "--listen", "127.0.0.1:0", "--repo", str(repo)],
+        cwd=FIXTURES.parent / "src",  # `-m` imports pbmkit from here without PYTHONPATH
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -307,6 +325,27 @@ def test_serve_and_run_over_tcp(compiled, tmp_path, capsys):
                    "--capacity", "2000"])
         assert rc == 0
         assert capsys.readouterr().out == EXPECTED_REPORT
+
+        # two flows share P16's aggregate minimum, the third has P5's
+        # per-connection minimum: remote enforcement must match simulate
+        contended = tmp_path / "contended.csv"
+        contended.write_text(
+            "ts,src,dst,proto,port,demand_kbps\n"
+            "399600,10.1.9.1,198.18.0.9,tcp,80,2000\n"
+            "399600,10.1.9.2,198.18.0.9,tcp,80,2000\n"
+            "399600,10.1.4.1,198.18.0.9,tcp,80,2000\n"
+        )
+        local = tmp_path / "local.csv"
+        assert main(["simulate", compiled, "--trace", str(contended),
+                     "--capacity", "2857", "--report", str(local)]) == 0
+        assert main(["pep", "run", "--connect", address, "--trace", str(contended),
+                     "--capacity", "2857", "--report", str(report)]) == 0
+        assert report.read_text() == local.read_text() == (
+            "ts,flow,rules,granted_kbps,demand_kbps,denied\n"
+            "399600,f1,P16,429,2000,false\n"
+            "399600,f2,P16,428,2000,false\n"
+            "399600,f3,P5,2000,2000,false\n"
+        )
     finally:
         proc.terminate()
         proc.wait(timeout=10)

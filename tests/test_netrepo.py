@@ -36,7 +36,7 @@ from pbmkit.netrepo import (
     repo_load,
     repo_log,
 )
-from pbmkit.pdp import decide
+from pbmkit.pdp import Decision, decide
 from pbmkit.refiner import compile_strategy, enumerate_strategies
 
 from .generators import gen_decision, gen_flow, gen_message
@@ -154,7 +154,9 @@ def test_decision_fields_round_trip():
         decision = gen_decision(rng)
         decision = dataclasses.replace(decision, matched=("P1", "P2")[: rng.randrange(3)])
         fields = decision_fields(decision)
-        assert set(fields) == {"admission", "flags", "matched", "max", "min", "priority"}
+        assert set(fields) == {
+            "admission", "bounds", "flags", "matched", "max", "min", "priority"
+        }
         assert decision_from_fields(parse_payload(encode_payload(fields))) == decision
 
 
@@ -180,6 +182,21 @@ def test_codec_error_reporting():
     good["flags"] = "NoSuchFlag"
     with pytest.raises(ProtocolError, match="bad decision payload"):
         decision_from_fields(good)
+    allowed = decision_fields(Decision(("R1",), Admission.ALLOW, None, None, 1))
+    denied = decision_fields(Decision(("R1",), Admission.DENY, None, None, 1))
+    for base, bounds in [
+        (allowed, "R1:conn:5:-"),        # wrong arity
+        (allowed, "R1:conn:5:-:1:2"),
+        (allowed, "R1:conn:5:-:-,"),
+        (allowed, "R1:both:5:-:-"),      # bad scope
+        (allowed, "R1:agg:five:-:-"),    # non-integer bound
+        (allowed, "R1:agg:5:-:high"),
+        (allowed, "R1:agg:-:-:-"),       # no bound at all
+        (allowed, "R1:agg:5:-:10"),      # priority out of range
+        (denied, "R1:conn:5:-:-"),       # entries on a denied decision
+    ]:
+        with pytest.raises(ProtocolError, match="bad decision payload"):
+            decision_from_fields({**base, "bounds": bounds})
 
 
 # -- repository ----------------------------------------------------------------
@@ -279,6 +296,8 @@ def test_request_decision_matches_local_decide(tmp_path, campus_doc):
             assert decision.effective_min_kbps == 64
 
             session.report(399600, 2000, 364)  # RPT answered with ACK
+        stopping = time.perf_counter()
+    assert time.perf_counter() - stopping < 0.1  # stop() wakes the blocked accept()
 
 
 def test_two_concurrent_sessions(tmp_path, campus_doc):

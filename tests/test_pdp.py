@@ -30,6 +30,7 @@ from pbmkit.pdp import (
     Decision,
     DecisionFlag,
     DeviceProfile,
+    RuleBound,
     TranslationError,
     decide,
     detect_conflicts,
@@ -162,6 +163,9 @@ def test_decision_invariants_enforced():
         Decision((), Admission.ALLOW, None, None, 0)
     with pytest.raises(ValueError, match="denied decision cannot carry"):
         Decision((), Admission.DENY, 5, None, 1)
+    with pytest.raises(ValueError, match="denied decision cannot carry"):
+        Decision(("P1",), Admission.DENY, None, None, 1,
+                 bounds=(RuleBound("P1", Bandwidth(64, None, Scope.PER_CONNECTION), 5),))
     with pytest.raises(ValueError, match="min exceeds"):
         Decision((), Admission.ALLOW, 10, 5, 1)
 
@@ -362,6 +366,6 @@ def test_translate_filter_profile_rejects_bandwidth(campus):
 
 def test_translate_unknown_dialect(campus):
     doc, rules = campus
-    alien = DeviceProfile("x", "laserconf-v9", 1000, frozenset({"admission"}))
+    alien = DeviceProfile("x", "laserconf-v9", frozenset({"admission"}))
     with pytest.raises(TranslationError, match="laserconf-v9"):
         translate_to_device(rules[7], doc.catalogs, alien)

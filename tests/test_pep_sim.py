@@ -6,21 +6,23 @@ from pathlib import Path
 import pytest
 
 from pbmkit.dsl import parse
-from pbmkit.model import Admission, Catalogs, timestamp_at
-from pbmkit.pdp import Decision
+from pbmkit.model import Admission, Catalogs, Scope, timestamp_at
+from pbmkit.netrepo import decision_fields, decision_from_fields, encode_payload, parse_payload
+from pbmkit.pdp import Decision, decide
 from pbmkit.pep_sim import (
     AllocationReport,
     FlowAllocation,
     Pipe,
     TraceError,
     allocate,
+    enforce,
     read_trace,
     replay,
     write_report,
 )
 from pbmkit.refiner import compile_strategy, enumerate_strategies
 
-from .generators import gen_allocate_instance
+from .generators import gen_allocate_instance, gen_catalogs_and_rules, gen_flow
 from .oracles import oracle_allocate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -253,3 +255,38 @@ def test_replay_rejects_bad_input(campus):
         replay(rules, doc.catalogs, flows, 100)
     with pytest.raises(ValueError, match="at least 1"):
         replay(rules, doc.catalogs, [], 100, step_seconds=0)
+
+
+def test_wire_decisions_enforce_like_replay():
+    """Decisions that crossed the DECISION codec allocate exactly as replay does."""
+    rng = random.Random(48)
+    denied_with_conn_bound = shared_pipe_steps = 0
+    for _ in range(250):
+        rules, catalogs = gen_catalogs_and_rules(rng)
+        flows = sorted(
+            (gen_flow(rng, pooled=True) for _ in range(rng.randint(1, 10))),
+            key=lambda flow: flow.timestamp,
+        )
+        capacity, step = rng.randint(0, 1500), rng.choice((60, 600))
+
+        def remote(flow):
+            fields = decision_fields(decide(rules, flow, catalogs))
+            return decision_from_fields(parse_payload(encode_payload(fields)))
+
+        reports = replay(rules, catalogs, flows, capacity, step)
+        assert list(enforce(flows, capacity, step, remote)) == reports
+
+        scopes = {r.id: r.actions.bandwidth.scope for r in rules if r.actions.bandwidth}
+        for report in reports:
+            pipe_sizes: dict[str, int] = {}
+            for allocation in report.flows:
+                matched = [scopes[r] for r in allocation.rules if r in scopes]
+                if allocation.denied:
+                    denied_with_conn_bound += Scope.PER_CONNECTION in matched
+                    continue
+                for rule_id in allocation.rules:
+                    if scopes.get(rule_id) is Scope.AGGREGATE:
+                        pipe_sizes[rule_id] = pipe_sizes.get(rule_id, 0) + 1
+            shared_pipe_steps += any(size >= 2 for size in pipe_sizes.values())
+    assert denied_with_conn_bound > 0
+    assert shared_pipe_steps > 0
