@@ -24,6 +24,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import IntEnum
+from ipaddress import IPv4Address
 from typing import Sequence
 
 from .dsl import Document, parse, serialize
@@ -288,8 +289,6 @@ def flow_fields(flow: FlowDescriptor) -> dict[str, str]:
 
 
 def flow_from_fields(fields: dict[str, str]) -> FlowDescriptor:
-    from ipaddress import IPv4Address
-
     demand, dst, port, proto, src, ts = _require(
         fields, ("demand", "dst", "port", "proto", "src", "ts")
     )

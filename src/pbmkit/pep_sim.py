@@ -6,16 +6,18 @@ Phase A walks priority tiers from 9 down to 1 and reserves guarantees.
 Within a tier the items are the flows carrying a minimum (in input order)
 followed by the aggregate pipes at that priority (in given order); each
 item's target is the part of its minimum it can still use.  When the
-remaining pool cannot cover a tier's targets the pool is split one
-kilobit at a time, always to the item with the highest target/(share+1)
-ratio (ties favour the earlier item), so growing the pool never shrinks
-anybody's share.  Shares are applied subject to live limits (demand, own
-maximum, containing pipe maximums); a pipe's share is dealt to its
-members one kilobit per round.
+remaining pool cannot cover a tier's targets it is split d'Hondt-style by
+highest target/(share+1) ratio (ties favour the earlier item), so growing
+the pool never shrinks anybody's share: every share starts at its
+proportional floor and the few kilobits left over go one at a time.
 
-Phase B pours the leftover pool over admitted flows tier by tier in
-round-robin rounds of one kilobit, implemented in equal-sized chunks for
-speed.  Denied flows take no part and receive nothing.
+Both phases hand bandwidth out through one round-robin dealer, _deal(),
+which gives one kilobit per taker per round under the live limits
+(demand, own maximum, containing pipe maximums) and grants at once every
+whole round that no limit can cut short.  Phase A deals each flow's share
+to that flow and each pipe's share to the pipe's members; Phase B deals
+the leftover pool to each tier's admitted flows.  Denied flows take no
+part and receive nothing.
 
 enforce() is the one enforcement pipeline: it buckets a trace into time
 steps, asks a decide callable for each flow, and allocates each step from
@@ -26,6 +28,7 @@ the same reports.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 from typing import Callable, Iterable, Iterator, Sequence
@@ -146,11 +149,15 @@ class _LiveState:
 def _dhondt_split(targets: list[int], pool: int) -> list[int]:
     """Split pool kilobits across items by highest target/(share+1) ratio.
 
-    One kilobit per step; ties go to the earliest item.  No item ever
-    exceeds its target while another still sits below its own.
+    Ties go to the earliest item, and no item ever exceeds its target while
+    another still sits below its own.  Call only when pool < sum(targets).
+    Every quotient target/k >= sum(targets)/pool wins a kilobit, so each
+    share starts at its proportional floor; fewer than len(targets)
+    kilobits are then left to deal one at a time.
     """
-    shares = [0] * len(targets)
-    for _ in range(pool):
+    total = sum(targets)
+    shares = [target * pool // total for target in targets]
+    for _ in range(pool - sum(shares)):
         best = -1
         for i, target in enumerate(targets):
             if shares[i] >= target:
@@ -164,35 +171,42 @@ def _dhondt_split(targets: list[int], pool: int) -> list[int]:
     return shares
 
 
-def _apply_flow_share(state: _LiveState, i: int, share: int) -> int:
-    amount = min(share, state.flow_room(i))
-    if amount > 0:
-        state.grant(i, amount)
-    return amount
+def _deal(state: _LiveState, takers: Sequence[int], pool: int) -> int:
+    """Deal pool round-robin, one kilobit per taker per round; returns kilobits dealt.
 
-
-def _apply_pipe_share(state: _LiveState, p: int, share: int) -> int:
-    """Deal a pipe's share to its members, one kilobit per round."""
-    members = state.pipe_members[p]
-    applied = 0
-    while applied < share:
-        progressed = False
-        for i in members:
-            if applied == share:
+    Whole rounds that no live limit can cut short are granted at once; a
+    round with less than one kilobit per taker is walked by hand.
+    """
+    dealt = 0
+    while dealt < pool:
+        active = [i for i in takers if state.flow_room(i) > 0]
+        if not active:
+            break
+        rounds = min(min(state.flow_room(i) for i in active), (pool - dealt) // len(active))
+        inside = Counter(p for i in active for p in state.flow_pipes[i])
+        for p, count in inside.items():
+            cap = state.pipes[p].max_kbps
+            if cap is not None:
+                rounds = min(rounds, (cap - state.pipe_used[p]) // count)
+        if rounds > 0:
+            for i in active:
+                state.grant(i, rounds)
+            dealt += rounds * len(active)
+            continue
+        # the first active taker always gets its kilobit, so this round progresses
+        for i in active:
+            if dealt == pool:
                 break
             if state.flow_room(i) > 0:
                 state.grant(i, 1)
-                applied += 1
-                progressed = True
-        if not progressed:
-            break
-    return applied
+                dealt += 1
+    return dealt
 
 
 def _guarantee_phase(state: _LiveState, capacity: int) -> int:
     pool = capacity
     for tier in range(9, 0, -1):
-        items: list[tuple[str, int, int]] = []  # (kind, index, target)
+        items: list[tuple[Sequence[int], int]] = []  # (takers, target)
         for i, decision in enumerate(state.decisions):
             if not state.allowed[i] or decision.priority != tier:
                 continue
@@ -202,67 +216,23 @@ def _guarantee_phase(state: _LiveState, capacity: int) -> int:
                 decision.effective_min_kbps - state.granted[i], state.flow_room(i)
             )
             if target > 0:
-                items.append(("flow", i, target))
+                items.append(((i,), target))
         for p, pipe in enumerate(state.pipes):
             if pipe.priority != tier or pipe.min_kbps is None:
                 continue
             absorbable = sum(state.flow_room(i) for i in state.pipe_members[p])
             target = min(pipe.min_kbps - state.pipe_used[p], absorbable)
             if target > 0:
-                items.append(("pipe", p, target))
+                items.append((state.pipe_members[p], target))
         if not items or pool == 0:
             continue
-        targets = [target for _, _, target in items]
+        targets = [target for _, target in items]
         if sum(targets) <= pool:
             shares = targets
         else:
             shares = _dhondt_split(targets, pool)
-        for (kind, index, _), share in zip(items, shares):
-            if share == 0:
-                continue
-            if kind == "flow":
-                pool -= _apply_flow_share(state, index, share)
-            else:
-                pool -= _apply_pipe_share(state, index, share)
-    return pool
-
-
-def _surplus_phase(state: _LiveState, pool: int) -> int:
-    for tier in range(9, 0, -1):
-        flows = [
-            i
-            for i, decision in enumerate(state.decisions)
-            if state.allowed[i] and decision.priority == tier
-        ]
-        while pool > 0:
-            takers = [i for i in flows if state.flow_room(i) > 0]
-            if not takers:
-                break
-            chunk = min(state.flow_room(i) for i in takers)
-            chunk = min(chunk, pool // len(takers))
-            for p, members in enumerate(state.pipe_members):
-                cap = state.pipes[p].max_kbps
-                if cap is None:
-                    continue
-                inside = sum(1 for i in takers if i in members)
-                if inside:
-                    chunk = min(chunk, (cap - state.pipe_used[p]) // inside)
-            if chunk > 0:
-                for i in takers:
-                    state.grant(i, chunk)
-                pool -= chunk * len(takers)
-                continue
-            # less than one kilobit per taker: walk a single round by hand
-            progressed = False
-            for i in takers:
-                if pool == 0:
-                    break
-                if state.flow_room(i) > 0:
-                    state.grant(i, 1)
-                    pool -= 1
-                    progressed = True
-            if not progressed:
-                break
+        for (takers, _), share in zip(items, shares):
+            pool -= _deal(state, takers, share)
     return pool
 
 
@@ -283,7 +253,13 @@ def allocate(
                 raise ValueError(f"pipe {pipe.rule_id} references flow {i}")
     state = _LiveState(flows, pipes)
     pool = _guarantee_phase(state, capacity_kbps)
-    _surplus_phase(state, pool)
+    for tier in range(9, 0, -1):
+        admitted = [
+            i
+            for i, decision in enumerate(state.decisions)
+            if state.allowed[i] and decision.priority == tier
+        ]
+        pool -= _deal(state, admitted, pool)
     return list(state.granted)
 
 

@@ -136,14 +136,15 @@ def gen_decision(rng: random.Random) -> Decision:
 
 
 def gen_allocate_instance(
-    rng: random.Random,
+    rng: random.Random, large: bool = False
 ) -> tuple[list[tuple[Decision, int]], int, list[Pipe]]:
+    """Random allocate() input; large=True gives 10-60 flows, 0-5 pipes, up to 12,000 kbps."""
     flows = [
         (gen_decision(rng), rng.randint(0, 1500))
-        for _ in range(rng.randint(1, 8))
+        for _ in range(rng.randint(10, 60) if large else rng.randint(1, 8))
     ]
     pipes = []
-    for j in range(rng.choice((0, 0, 0, 1, 1, 2))):
+    for j in range(rng.randint(0, 5) if large else rng.choice((0, 0, 0, 1, 1, 2))):
         members = tuple(
             sorted(rng.sample(range(len(flows)), rng.randint(1, len(flows))))
         )
@@ -152,6 +153,8 @@ def gen_allocate_instance(
         if min_kbps is None or rng.random() < 0.5:
             max_kbps = rng.randint(min_kbps or 1, 2400)
         pipes.append(Pipe(f"pipe{j + 1}", min_kbps, max_kbps, rng.randint(1, 9), members))
+    if large:
+        return flows, rng.randint(0, 12000), pipes
     roll = rng.random()
     if roll < 0.55:
         capacity = rng.randint(0, 250)

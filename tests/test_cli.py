@@ -348,4 +348,4 @@ def test_serve_and_run_over_tcp(compiled, tmp_path, capsys):
         )
     finally:
         proc.terminate()
-        proc.wait(timeout=10)
+        proc.communicate(timeout=10)
