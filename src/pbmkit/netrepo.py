@@ -364,10 +364,9 @@ def repo_commit(repo_dir: str, doc: Document) -> RepoVersion:
         handle.write(data)
     with open(target, "rb") as handle:
         stored = handle.read()
-    digest = checksum_hex(stored)
-    if digest != checksum_hex(data):
+    if stored != data:
         raise RepoError(f"read-back of {filename} does not match what was written")
-    entry = RepoVersion(version, int(time.time()), digest, filename)
+    entry = RepoVersion(version, int(time.time()), checksum_hex(data), filename)
     with open(_manifest_path(repo_dir), "a", encoding="utf-8") as handle:
         handle.write(f"{entry.version}\t{entry.created}\t{entry.checksum}\t{entry.path}\n")
     return entry

@@ -59,10 +59,16 @@ def gen_actions(rng: random.Random) -> ActionSet:
     return ActionSet(admission, bandwidth, priority)
 
 
-def gen_catalogs_and_rules(rng: random.Random) -> tuple[list[PolicyRule], Catalogs]:
-    """Small random rule set over a compact address pool (conflict trials)."""
+def gen_catalogs_and_rules(
+    rng: random.Random, large: bool = False
+) -> tuple[list[PolicyRule], Catalogs]:
+    """Small random rule set over a compact address pool (conflict trials).
+
+    large=True gives 20-80 rules over 4-10 entity groups and 1-6 service
+    classes, so many rules share one entry name.
+    """
     entities = {}
-    for i in range(rng.randint(2, 4)):
+    for i in range(rng.randint(4, 10) if large else rng.randint(2, 4)):
         name = f"E{i + 1}"
         if rng.random() < 0.2:
             entities[name] = EntityGroup(name, None)
@@ -70,7 +76,7 @@ def gen_catalogs_and_rules(rng: random.Random) -> tuple[list[PolicyRule], Catalo
             members = frozenset(rng.sample(_POOL_NETWORKS, rng.randint(1, 3)))
             entities[name] = EntityGroup(name, members)
     services = {}
-    for i in range(rng.randint(1, 4)):
+    for i in range(rng.randint(1, 6) if large else rng.randint(1, 4)):
         name = f"S{i + 1}"
         if rng.random() < 0.2:
             services[name] = ServiceClass(name, None)
@@ -115,7 +121,7 @@ def gen_catalogs_and_rules(rng: random.Random) -> tuple[list[PolicyRule], Catalo
             actions=gen_actions(rng),
             order=i,
         )
-        for i in range(rng.randint(1, 6))
+        for i in range(rng.randint(20, 80) if large else rng.randint(1, 6))
     ]
     return rules, catalogs
 

@@ -3,14 +3,23 @@
 Everything here is deliberately written the slow, obvious way (recursive
 set semantics, exhaustive sampling, one-kilobit loops, Fraction
 arithmetic) so that agreement with the shipped fast paths is meaningful.
-Only data types are imported from the package, never its algorithms.
+Only data types are imported from the package, never its algorithms; the
+one exception is reference_detect_conflicts, which reuses pdp's three
+per-dimension witness functions and checks how they are combined.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from ipaddress import IPv4Address
 
-from pbmkit.model import Admission, RefinementMode, Scope
+from pbmkit.model import Admission, FlowDescriptor, RefinementMode, Scope
+from pbmkit.pdp import (
+    Conflict,
+    ConflictKind,
+    _address_witness,
+    _service_witness,
+    _time_witness,
+)
 
 _EPOCH_MONDAY = 4 * 86400
 _WEEK_MINUTES = 7 * 1440
@@ -206,6 +215,67 @@ def sampled_conflict_pairs(rules, catalogs):
             if pa is not None and pb is not None and pa != pb:
                 pairs.add((a.id, b.id, "PriorityDivergence"))
     return pairs
+
+
+def _reference_kinds(a, b):
+    kinds = []
+    admissions = {a.actions.admission, b.actions.admission}
+    if Admission.ALLOW in admissions and Admission.DENY in admissions:
+        kinds.append(ConflictKind.ADMISSION)
+    ba, bb = a.actions.bandwidth, b.actions.bandwidth
+    if ba is not None and bb is not None and ba.scope is bb.scope:
+        if (
+            ba.min_kbps is not None
+            and bb.max_kbps is not None
+            and ba.min_kbps > bb.max_kbps
+        ) or (
+            bb.min_kbps is not None
+            and ba.max_kbps is not None
+            and bb.min_kbps > ba.max_kbps
+        ):
+            kinds.append(ConflictKind.BANDWIDTH)
+    pa, pb = a.actions.priority, b.actions.priority
+    if pa is not None and pb is not None and pa != pb:
+        kinds.append(ConflictKind.PRIORITY_DIVERGENCE)
+    return kinds
+
+
+def reference_detect_conflicts(rules, catalogs):
+    """detect_conflicts by the all-pairs loop: every i < j pair in order.
+
+    Catalog entries are looked up only for pairs whose actions conflict,
+    and the witness flow is built from the three per-dimension witnesses
+    of that pair.
+    """
+    conflicts = []
+    ordered = list(rules)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            kinds = _reference_kinds(a, b)
+            if not kinds:
+                continue
+            ca, cb = a.condition, b.condition
+            src = _address_witness(
+                catalogs.entity_group(ca.source), catalogs.entity_group(cb.source)
+            )
+            dst = _address_witness(
+                catalogs.entity_group(ca.destination),
+                catalogs.entity_group(cb.destination),
+            )
+            service = _service_witness(
+                catalogs.service_class(ca.service), catalogs.service_class(cb.service)
+            )
+            when = _time_witness(catalogs.time_class(ca.time), catalogs.time_class(cb.time))
+            if src is None or dst is None or service is None or when is None:
+                continue
+            proto, port = service
+            day, minute = when
+            timestamp = (
+                _EPOCH_MONDAY + day * 86400 + minute * 60 - catalogs.tz_offset_minutes * 60
+            )
+            witness = FlowDescriptor(src, dst, proto, port, timestamp, 1)
+            conflicts.extend(Conflict(a.id, b.id, kind, witness) for kind in kinds)
+    return conflicts
 
 
 # -- bandwidth allocation, one kilobit at a time -------------------------------

@@ -1,5 +1,7 @@
 """Wire framing, field codecs, the versioned store, and the live service."""
+import builtins
 import dataclasses
+import io
 import random
 import socket
 import time
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from pbmkit import netrepo
 from pbmkit.dsl import parse, serialize
 from pbmkit.model import Admission, FlowDescriptor
 from pbmkit.netrepo import (
@@ -246,6 +249,26 @@ def test_repo_error_paths(tmp_path, campus_doc):
     (tmp_path / "v0002.pbm").write_text("squatter")
     with pytest.raises(RepoError, match="refusing to overwrite v0002.pbm"):
         repo_commit(repo, campus_doc)
+
+
+def test_repo_commit_rejects_bad_read_back(tmp_path, campus_doc, monkeypatch):
+    repo = str(tmp_path)
+    repo_commit(repo, campus_doc)
+
+    def flipped_open(path, mode="r", *args, **kwargs):
+        if mode != "rb":
+            return builtins.open(path, mode, *args, **kwargs)
+        with builtins.open(path, mode) as handle:
+            data = bytearray(handle.read())
+        data[10] ^= 0xFF
+        return io.BytesIO(bytes(data))
+
+    monkeypatch.setattr(netrepo, "open", flipped_open, raising=False)
+    with pytest.raises(RepoError, match="read-back of v0002.pbm does not match"):
+        repo_commit(repo, campus_doc)
+    monkeypatch.undo()
+    assert [e.version for e in repo_log(repo)] == [1]
+    assert len((tmp_path / MANIFEST_NAME).read_text().splitlines()) == 1
 
 
 def test_manifest_validation(tmp_path):

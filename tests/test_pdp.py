@@ -20,6 +20,7 @@ from pbmkit.model import (
     ServiceMatcher,
     TimeClass,
     TimeWindow,
+    UnknownReferenceError,
     condition_matches,
     timestamp_at,
 )
@@ -39,7 +40,7 @@ from pbmkit.pdp import (
 from pbmkit.refiner import compile_strategy, enumerate_strategies
 
 from .generators import gen_catalogs_and_rules, gen_flow
-from .oracles import sampled_conflict_pairs
+from .oracles import reference_detect_conflicts, sampled_conflict_pairs
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "unicauca.pbm"
 
@@ -326,6 +327,33 @@ def test_random_rules_match_sampling_oracle():
         assert got == sampled_conflict_pairs(rules, catalogs)
         for conflict in conflicts:
             assert _witness_reproduces(conflict, rules, catalogs)
+
+
+def test_conflicts_equal_all_pairs_reference(campus):
+    doc, rules = campus
+    assert detect_conflicts(rules, doc.catalogs) == reference_detect_conflicts(
+        rules, doc.catalogs
+    )
+    rng = random.Random(53)
+    wide = found = 0
+    for large in [False] * 300 + [True] * 40:
+        rules, catalogs = gen_catalogs_and_rules(rng, large=large)
+        conflicts = detect_conflicts(rules, catalogs)
+        assert conflicts == reference_detect_conflicts(rules, catalogs)
+        wide += len(rules) > 64
+        found += len(conflicts)
+    # bitsets wider than one machine word, and plenty of findings to order
+    assert wide >= 5 and found >= 1000
+
+
+def test_unknown_reference_raises_without_conflicting_actions():
+    a = _rule("A", 0, ActionSet(Admission.ALLOW, None, None))
+    b = _rule("B", 1, ActionSet(Admission.ALLOW, None, None),
+              Condition("any", "missing", "any", "any"))
+    assert reference_detect_conflicts([a, b], Catalogs()) == []
+    with pytest.raises(UnknownReferenceError) as info:
+        detect_conflicts([a, b], Catalogs())
+    assert (info.value.kind, info.value.name) == ("entity group", "missing")
 
 
 # -- translation -------------------------------------------------------------
