@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
 from enum import Enum
 from ipaddress import IPv4Address, IPv4Network
 
@@ -428,17 +427,18 @@ def format_tz_offset(minutes: int) -> str:
     return f"{sign}{minutes // 60:02d}:{minutes % 60:02d}"
 
 
-def local_day_minute(timestamp: int, tz_offset_minutes: int) -> tuple[int, int]:
-    """Map an epoch timestamp to (weekday, minute-of-day) at the given offset."""
-    moment = datetime.fromtimestamp(timestamp, timezone.utc) + timedelta(
-        minutes=tz_offset_minutes
-    )
-    return moment.weekday(), moment.hour * 60 + moment.minute
-
-
-# First Monday of the epoch; anchor for turning (day, minute) back into a
-# concrete timestamp, e.g. when constructing conflict witnesses.
+# First Monday of the epoch; anchor for the weekly minute arithmetic of
+# local_day_minute() and its inverse timestamp_at().
 _EPOCH_MONDAY = 4 * 86400
+
+
+def local_day_minute(timestamp: int, tz_offset_minutes: int) -> tuple[int, int]:
+    """Map an epoch timestamp to (weekday, minute-of-day) at the given offset.
+
+    Integer week arithmetic, so any integer timestamp maps, including ones
+    outside the range datetime can represent.
+    """
+    return divmod(((timestamp - _EPOCH_MONDAY) // 60 + tz_offset_minutes) % 10080, 1440)
 
 
 def timestamp_at(day: int, minute: int, tz_offset_minutes: int = 0) -> int:

@@ -12,8 +12,9 @@ payload as sorted key=value lines.  PdpServer answers REQ frames with
 DEC decisions, acknowledges RPT usage reports, and pushes SYNC frames
 carrying the canonical document whenever the repository gains a
 version; PepSession is the matching client.  A DEC frame carries the
-whole Decision, including the bandwidth bound of each matched rule, so a
-client allocates from it exactly as local replay does.
+whole Decision: its bandwidth bounds, one per matched rule, are the only
+limits sent, and the client's Decision derives its effective limits from
+them, so it allocates exactly as local replay does.
 """
 from __future__ import annotations
 
@@ -241,8 +242,6 @@ def decision_fields(decision: Decision) -> dict[str, str]:
         "bounds": ",".join(_bound_text(b) for b in decision.bounds) or "-",
         "flags": ",".join(sorted(f.value for f in decision.flags)) or "-",
         "matched": ",".join(decision.matched) or "-",
-        "max": _optional(decision.effective_max_kbps),
-        "min": _optional(decision.effective_min_kbps),
         "priority": str(decision.priority),
     }
 
@@ -255,8 +254,8 @@ def _require(fields: dict[str, str], keys: Sequence[str]) -> list[str]:
 
 
 def decision_from_fields(fields: dict[str, str]) -> Decision:
-    admission, bounds, flags, matched, max_text, min_text, priority = _require(
-        fields, ("admission", "bounds", "flags", "matched", "max", "min", "priority")
+    admission, bounds, flags, matched, priority = _require(
+        fields, ("admission", "bounds", "flags", "matched", "priority")
     )
     try:
         flag_set = frozenset(
@@ -265,8 +264,6 @@ def decision_from_fields(fields: dict[str, str]) -> Decision:
         return Decision(
             matched=tuple(matched.split(",")) if matched != "-" else (),
             admission=Admission(admission),
-            effective_min_kbps=None if min_text == "-" else int(min_text),
-            effective_max_kbps=None if max_text == "-" else int(max_text),
             priority=int(priority),
             flags=flag_set,
             bounds=tuple(
@@ -407,7 +404,9 @@ class PdpServer:
     The active rule snapshot is immutable; a background watcher polls the
     manifest and swaps in new versions atomically, pushing SYNC frames to
     every connected enforcement point.  In-flight requests finish against
-    the snapshot they started with.
+    the snapshot they started with.  A version that fails to load keeps
+    the current snapshot in service and is retried on every poll, with
+    one warning per failing version on this module's logger.
     """
 
     def __init__(
@@ -503,6 +502,7 @@ class PdpServer:
             thread.start()
 
     def _watch_loop(self):
+        failed_version = None  # newest version whose load failure was logged
         while not self._closing.wait(self.poll_interval):
             try:
                 entries = repo_log(self.repo_dir)
@@ -511,10 +511,22 @@ class PdpServer:
             current = self._snapshot
             if not entries or current is None or entries[-1].version <= current.version:
                 continue
+            version = entries[-1].version
             try:
-                snapshot = self._load_snapshot(entries[-1].version)
-            except Exception:
-                continue  # half-written commit; retry on the next poll
+                snapshot = self._load_snapshot(version)
+            except Exception as exc:
+                # keep serving the current snapshot and retry on the next poll
+                if version != failed_version:
+                    failed_version = version
+                    # imported here, not at the top: logging would add about a
+                    # tenth to the time every pbmkit command spends importing
+                    import logging
+
+                    logging.getLogger(__name__).warning(
+                        "cannot load version %d, still serving version %d: %s",
+                        version, current.version, exc, exc_info=exc,
+                    )
+                continue
             self._snapshot = snapshot
             sync = encode_message(
                 Message(

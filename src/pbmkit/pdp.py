@@ -1,12 +1,13 @@
 """Policy decision point: flow decisions, conflict detection, translation.
 
 decide() combines every rule whose condition matches a flow: an explicit
-Deny dominates, effective bandwidth bounds are the tightest of the matched
-bounds (largest min, smallest max; min is clamped to max and flagged when
-they cross), and priority comes from the first matched rule that sets one.
-A flow matching no rule is allowed at priority 1 with no bounds.  An
-allowed decision also lists each matched rule's bandwidth action, which
-is what enforcement turns into per-connection limits and aggregate pipes.
+Deny dominates, an allowed decision lists each matched rule's bandwidth
+action as its bounds, and priority comes from the first matched rule that
+sets one.  A flow matching no rule is allowed at priority 1 with no
+bounds.  Decision derives the effective limits from the bounds (the
+tightest of them; min is clamped to max and flagged when they cross), and
+enforcement turns the bounds into per-connection limits and aggregate
+pipes.
 
 detect_conflicts() examines every rule pair whose condition spaces overlap
 and attaches a deterministic witness flow taken from the overlap: the
@@ -21,10 +22,10 @@ Stiliadis, SIGCOMM 1998).  Only those pairs have their actions compared.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv4Address, IPv4Network
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 from .model import (
     Admission,
@@ -57,44 +58,45 @@ class RuleBound(NamedTuple):
     priority: int | None
 
 
-def fold_bounds(bandwidths: Sequence[Bandwidth]) -> tuple[int | None, int | None, bool]:
-    """Tightest (min, max) of the given bounds, and whether min was clamped to max."""
-    mins = [bw.min_kbps for bw in bandwidths if bw.min_kbps is not None]
-    maxes = [bw.max_kbps for bw in bandwidths if bw.max_kbps is not None]
-    low = max(mins) if mins else None
-    high = min(maxes) if maxes else None
-    if low is not None and high is not None and low > high:
-        return high, high, True
-    return low, high, False
-
-
 @dataclass(frozen=True)
 class Decision:
-    """Outcome of evaluating a rule set against one flow."""
+    """Outcome of evaluating a rule set against one flow.
+
+    bounds is the only stored form of the bandwidth limits.  The effective
+    limits are their tightest fold (largest min, smallest max), computed
+    once on construction; when that min exceeds that max, min is clamped
+    to max and MinExceedsMax is added to flags.  MinExceedsMax on bounds
+    that do not cross is rejected.
+    """
 
     matched: tuple[str, ...]
     admission: Admission
-    effective_min_kbps: int | None
-    effective_max_kbps: int | None
     priority: int
     flags: frozenset[DecisionFlag] = frozenset()
     bounds: tuple[RuleBound, ...] = ()
+    effective_min_kbps: int | None = field(init=False)
+    effective_max_kbps: int | None = field(init=False)
 
     def __post_init__(self):
         if not (1 <= self.priority <= 9):
             raise ValueError(f"decision priority must be in 1..9, got {self.priority}")
-        if self.admission is Admission.DENY and (
-            self.effective_min_kbps is not None
-            or self.effective_max_kbps is not None
-            or self.bounds
-        ):
+        if self.admission is Admission.DENY and self.bounds:
             raise ValueError("a denied decision cannot carry bandwidth bounds")
-        if (
-            self.effective_min_kbps is not None
-            and self.effective_max_kbps is not None
-            and self.effective_min_kbps > self.effective_max_kbps
-        ):
-            raise ValueError("effective min exceeds effective max")
+        # one pass without temporaries: replay builds two Decisions per flow
+        low = high = None
+        for bound in self.bounds:
+            bw = bound.bandwidth
+            if bw.min_kbps is not None and (low is None or bw.min_kbps > low):
+                low = bw.min_kbps
+            if bw.max_kbps is not None and (high is None or bw.max_kbps < high):
+                high = bw.max_kbps
+        if low is not None and high is not None and low > high:
+            low = high
+            object.__setattr__(self, "flags", self.flags | {DecisionFlag.MIN_EXCEEDS_MAX})
+        elif DecisionFlag.MIN_EXCEEDS_MAX in self.flags:
+            raise ValueError("MinExceedsMax flagged on bounds that do not cross")
+        object.__setattr__(self, "effective_min_kbps", low)
+        object.__setattr__(self, "effective_max_kbps", high)
 
 
 def decide(
@@ -104,11 +106,8 @@ def decide(
 ) -> Decision:
     """Combine all matching rules (in document order) into one decision."""
     matched = [r for r in rules if condition_matches(r.condition, flow, catalogs)]
-    flags: set[DecisionFlag] = set()
     denied = any(r.actions.admission is Admission.DENY for r in matched)
     allowed_explicitly = any(r.actions.admission is Admission.ALLOW for r in matched)
-    if denied and allowed_explicitly:
-        flags.add(DecisionFlag.ADMISSION_CONTRADICTION)
     priority = next(
         (r.actions.priority for r in matched if r.actions.priority is not None), 1
     )
@@ -119,16 +118,13 @@ def decide(
             for r in matched
             if r.actions.bandwidth is not None
         )
-    effective_min, effective_max, clamped = fold_bounds([b.bandwidth for b in bounds])
-    if clamped:
-        flags.add(DecisionFlag.MIN_EXCEEDS_MAX)
     return Decision(
         matched=tuple(r.id for r in matched),
         admission=Admission.DENY if denied else Admission.ALLOW,
-        effective_min_kbps=effective_min,
-        effective_max_kbps=effective_max,
         priority=priority,
-        flags=frozenset(flags),
+        flags=frozenset(
+            {DecisionFlag.ADMISSION_CONTRADICTION} if denied and allowed_explicitly else ()
+        ),
         bounds=bounds,
     )
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import Admission, Catalogs, FlowDescriptor, PolicyRule, Scope
-from .pdp import Decision, RuleBound, decide, fold_bounds
+from .model import Admission, Bandwidth, Catalogs, FlowDescriptor, PolicyRule, Scope
+from .pdp import Decision, RuleBound, decide
 
 
 class TraceError(Exception):
@@ -51,6 +51,8 @@ class Pipe:
     """Aggregate bandwidth constraint spanning a set of flows.
 
     members holds indices into the flow sequence given to allocate().
+    min_kbps and max_kbps must form a valid Bandwidth, and construction
+    raises Bandwidth's errors when they do not.
     """
 
     rule_id: str
@@ -60,17 +62,7 @@ class Pipe:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if self.min_kbps is None and self.max_kbps is None:
-            raise ValueError("a pipe needs a minimum or a maximum")
-        for bound in (self.min_kbps, self.max_kbps):
-            if bound is not None and bound <= 0:
-                raise ValueError("pipe bounds must be positive")
-        if (
-            self.min_kbps is not None
-            and self.max_kbps is not None
-            and self.min_kbps > self.max_kbps
-        ):
-            raise ValueError("pipe min exceeds pipe max")
+        Bandwidth(self.min_kbps, self.max_kbps)
         if not (1 <= self.priority <= 9):
             raise ValueError("pipe priority must be in 1..9")
 
@@ -316,8 +308,10 @@ def enforce(
 ) -> Iterator[AllocationReport]:
     """Decide each flow with decide_flow and allocate the link, one report per step.
 
-    Per-connection bounds limit their own flow; each aggregate bound
-    becomes one pipe over the flows of the step that matched it.
+    Per-connection bounds limit their own flow: allocate() sees a Decision
+    holding only those bounds, so its effective limits are their fold.
+    Each aggregate bound becomes one pipe over the flows of the step that
+    matched it.
     """
     check_trace(flows, step_seconds)
     start = 0
@@ -334,11 +328,13 @@ def enforce(
             per_connection = []
             for bound in decision.bounds:
                 if bound.bandwidth.scope is Scope.PER_CONNECTION:
-                    per_connection.append(bound.bandwidth)
+                    per_connection.append(bound)
                 else:
                     pipe_members.setdefault(bound, []).append(index)
-            low, high, _ = fold_bounds(per_connection)
-            view = Decision(decision.matched, decision.admission, low, high, decision.priority)
+            view = Decision(
+                decision.matched, decision.admission, decision.priority,
+                bounds=tuple(per_connection),
+            )
             alloc_inputs.append((view, flow.demand_kbps))
         pipes = [
             Pipe(

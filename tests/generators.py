@@ -127,18 +127,24 @@ def gen_catalogs_and_rules(
 
 
 def gen_decision(rng: random.Random) -> Decision:
+    """Random Decision; a drawn min/max becomes a leading per-connection bound R0."""
     if rng.random() < 0.15:
-        return Decision((), Admission.DENY, None, None, rng.randint(1, 9))
+        return Decision(matched=(), admission=Admission.DENY, priority=rng.randint(1, 9))
     min_kbps = rng.randint(1, 800) if rng.random() < 0.6 else None
     max_kbps = None
     if rng.random() < 0.4:
         max_kbps = rng.randint(min_kbps or 1, 1600)
-    bounds = tuple(
+    own = ()
+    if min_kbps is not None or max_kbps is not None:
+        own = (RuleBound("R0", Bandwidth(min_kbps, max_kbps, Scope.PER_CONNECTION), None),)
+    bounds = own + tuple(
         RuleBound(f"R{i + 1}", bandwidth, rng.choice((None, rng.randint(1, 9))))
         for i in range(rng.choice((0, 0, 1, 2, 3)))
         if (bandwidth := gen_actions(rng).bandwidth) is not None
     )
-    return Decision((), Admission.ALLOW, min_kbps, max_kbps, rng.randint(1, 9), bounds=bounds)
+    return Decision(
+        matched=(), admission=Admission.ALLOW, priority=rng.randint(1, 9), bounds=bounds
+    )
 
 
 def gen_allocate_instance(

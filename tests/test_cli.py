@@ -149,6 +149,26 @@ def test_simulate_writes_report(compiled, tmp_path, capsys):
     assert report.read_text() == EXPECTED_REPORT
 
 
+def test_simulate_timestamp_beyond_datetime_range(compiled, tmp_path, capsys):
+    # 10**20 s lies past year 9999; Saturday 04:46 at UTC-5 in weekly arithmetic
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        "ts,src,dst,proto,port,demand_kbps\n"
+        "100000000000000000000,10.1.3.1,198.18.0.11,udp,5060,64\n"
+        "100000000000000000000,10.1.20.7,198.18.0.9,tcp,6881,2000\n"
+    )
+    report = tmp_path / "report.csv"
+    rc = main(["simulate", compiled, "--trace", str(trace),
+               "--capacity", "2000", "--report", str(report)])
+    assert rc == 0
+    assert capsys.readouterr().out == "1 steps, 2 flows\n"
+    assert report.read_text() == (
+        "ts,flow,rules,granted_kbps,demand_kbps,denied\n"
+        "100000000000000000000,f1,P4,64,64,false\n"
+        "100000000000000000000,f2,P10,1936,2000,false\n"
+    )
+
+
 def test_simulate_denied_flow_with_per_connection_bound(compiled, tmp_path, capsys):
     # P9 denies the flow while P5 gives it a per-connection minimum
     trace = tmp_path / "trace.csv"

@@ -1,4 +1,6 @@
 """Core model: catalogs, matching, time arithmetic, graph validation."""
+import random
+from datetime import datetime, timedelta, timezone
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
@@ -62,6 +64,21 @@ def test_timestamp_at_inverts_local_day_minute():
             for off in (0, -300, 330):
                 ts = timestamp_at(day, minute, off)
                 assert local_day_minute(ts, off) == (day, minute)
+
+
+def test_local_day_minute_matches_datetime_reference():
+    rng = random.Random(51)
+    samples = [(ts, off) for ts in (-1, 0, 59, 345_599, 345_600) for off in (-720, 0, 840)]
+    samples += [(rng.randint(-2_000_000_000, 4_000_000_000), rng.randint(-720, 840))
+                for _ in range(3000)]
+    for ts, off in samples:
+        moment = datetime.fromtimestamp(ts, timezone.utc) + timedelta(minutes=off)
+        assert local_day_minute(ts, off) == (moment.weekday(), moment.hour * 60 + moment.minute)
+    # beyond datetime's range a timestamp maps like one whole weeks earlier
+    week = 7 * 86400
+    for ts, off in samples[:50]:
+        far = ts + rng.choice((10**20 // week, -(10**20 // week))) * week
+        assert local_day_minute(far, off) == local_day_minute(ts, off)
 
 
 def test_case_study_timestamps():

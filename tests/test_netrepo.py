@@ -2,6 +2,7 @@
 import builtins
 import dataclasses
 import io
+import logging
 import random
 import socket
 import time
@@ -39,7 +40,7 @@ from pbmkit.netrepo import (
     repo_load,
     repo_log,
 )
-from pbmkit.pdp import Decision, decide
+from pbmkit.pdp import Decision, DecisionFlag, decide
 from pbmkit.refiner import compile_strategy, enumerate_strategies
 
 from .generators import gen_decision, gen_flow, gen_message
@@ -157,10 +158,36 @@ def test_decision_fields_round_trip():
         decision = gen_decision(rng)
         decision = dataclasses.replace(decision, matched=("P1", "P2")[: rng.randrange(3)])
         fields = decision_fields(decision)
-        assert set(fields) == {
-            "admission", "bounds", "flags", "matched", "max", "min", "priority"
-        }
+        assert set(fields) == {"admission", "bounds", "flags", "matched", "priority"}
         assert decision_from_fields(parse_payload(encode_payload(fields))) == decision
+        # the retired min/max keys, as older servers sent them or otherwise, are ignored
+        low, high = decision.effective_min_kbps, decision.effective_max_kbps
+        for old in ({"min": str(low or "-"), "max": str(high or "-")}, {"min": "5", "max": "1"}):
+            assert decision_from_fields({**fields, **old}) == decision
+
+
+def test_decoded_limits_and_flag_follow_bounds():
+    # no frame decodes to a Decision whose limits or MinExceedsMax disagree with its bounds
+    rng = random.Random(50)
+    outcomes = {"crossed": 0, "rejected": 0, "plain": 0}
+    for _ in range(300):
+        fields = decision_fields(gen_decision(rng))
+        fields["flags"] = rng.choice(["-", "MinExceedsMax", "AdmissionContradiction,MinExceedsMax"])
+        try:
+            decision = decision_from_fields(fields)
+        except ProtocolError as exc:
+            assert "do not cross" in str(exc)
+            outcomes["rejected"] += 1
+            continue
+        # a Decision built directly from the decoded bounds (checked against a
+        # reference fold in test_pdp) derives the same limits and flag
+        direct = Decision(
+            matched=decision.matched, admission=decision.admission, priority=decision.priority,
+            flags=decision.flags - {DecisionFlag.MIN_EXCEEDS_MAX}, bounds=decision.bounds,
+        )
+        assert direct == decision
+        outcomes["crossed" if DecisionFlag.MIN_EXCEEDS_MAX in direct.flags else "plain"] += 1
+    assert min(outcomes.values()) >= 20
 
 
 def test_flow_fields_round_trip():
@@ -185,8 +212,8 @@ def test_codec_error_reporting():
     good["flags"] = "NoSuchFlag"
     with pytest.raises(ProtocolError, match="bad decision payload"):
         decision_from_fields(good)
-    allowed = decision_fields(Decision(("R1",), Admission.ALLOW, None, None, 1))
-    denied = decision_fields(Decision(("R1",), Admission.DENY, None, None, 1))
+    allowed = decision_fields(Decision(matched=("R1",), admission=Admission.ALLOW, priority=1))
+    denied = decision_fields(Decision(matched=("R1",), admission=Admission.DENY, priority=1))
     for base, bounds in [
         (allowed, "R1:conn:5:-"),        # wrong arity
         (allowed, "R1:conn:5:-:1:2"),
@@ -200,6 +227,11 @@ def test_codec_error_reporting():
     ]:
         with pytest.raises(ProtocolError, match="bad decision payload"):
             decision_from_fields({**base, "bounds": bounds})
+    for bounds in ("-", "R1:conn:5:10:-", "R1:conn:5:-:-,R2:agg:-:10:-"):
+        # MinExceedsMax on bounds that do not cross, even beside old min/max keys
+        flagged = {**allowed, "bounds": bounds, "flags": "MinExceedsMax", "min": "5", "max": "10"}
+        with pytest.raises(ProtocolError, match="bad decision payload: .*do not cross"):
+            decision_from_fields(flagged)
 
 
 # -- repository ----------------------------------------------------------------
@@ -361,6 +393,46 @@ def test_sync_pushed_on_new_version(tmp_path, campus_doc):
                 pytest.fail("server never swapped to version 2")
             assert session.synced_version == 2
             assert session.synced_text == serialize(compiled)
+
+
+def test_request_beyond_datetime_range_answered(tmp_path, campus_doc):
+    compiled = _compiled(campus_doc)
+    repo_commit(str(tmp_path), compiled)
+    flow = dataclasses.replace(_voip_flow(), timestamp=10**20)
+    with PdpServer(str(tmp_path)) as server:
+        host, port = server.address
+        with PepSession(host, port) as session:
+            decision = session.request(flow)
+            assert decision == decide(compiled.rules, flow, compiled.catalogs)
+            assert decision.matched == ("P4",)
+
+
+def test_watcher_logs_a_failed_load_once(tmp_path, campus_doc, caplog):
+    repo = str(tmp_path)
+    repo_commit(repo, campus_doc)  # v1: no rules
+    repo_commit(repo, _compiled(campus_doc))  # v2: sixteen rules, corrupted below
+    stored = tmp_path / "v0002.pbm"
+    data = bytearray(stored.read_bytes())
+    data[10] ^= 0xFF
+    stored.write_bytes(bytes(data))
+    manifest = tmp_path / MANIFEST_NAME
+    first, second = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text(first)  # hide v2 until the server runs on v1
+    with caplog.at_level(logging.WARNING, logger="pbmkit.netrepo"):
+        with PdpServer(repo, poll_interval=0.02) as server:
+            with open(manifest, "a") as handle:
+                handle.write(second)
+            deadline = time.monotonic() + 5.0
+            while not caplog.records and time.monotonic() < deadline:
+                time.sleep(0.02)
+            time.sleep(0.3)  # about fifteen more polls of the corrupt v2
+            host, port = server.address
+            with PepSession(host, port) as session:
+                assert session.request(_voip_flow()).matched == ()  # still v1
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "cannot load version 2, still serving version 1" in record.getMessage()
+    assert "checksum mismatch for v0002.pbm" in record.getMessage()
 
 
 def test_malformed_request_answered_with_error(tmp_path, campus_doc):

@@ -39,7 +39,7 @@ from pbmkit.pdp import (
 )
 from pbmkit.refiner import compile_strategy, enumerate_strategies
 
-from .generators import gen_catalogs_and_rules, gen_flow
+from .generators import gen_actions, gen_catalogs_and_rules, gen_flow
 from .oracles import reference_detect_conflicts, sampled_conflict_pairs
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "unicauca.pbm"
@@ -64,7 +64,7 @@ def campus():
 
 def test_no_matching_rules_gives_open_default():
     decision = decide([], _flow(), Catalogs())
-    assert decision == Decision((), Admission.ALLOW, None, None, 1)
+    assert decision == Decision(matched=(), admission=Admission.ALLOW, priority=1)
     assert decision.flags == frozenset()
 
 
@@ -161,14 +161,53 @@ def test_deny_dominance_property():
 
 def test_decision_invariants_enforced():
     with pytest.raises(ValueError, match="priority must be in 1..9"):
-        Decision((), Admission.ALLOW, None, None, 0)
+        Decision(matched=(), admission=Admission.ALLOW, priority=0)
     with pytest.raises(ValueError, match="denied decision cannot carry"):
-        Decision((), Admission.DENY, 5, None, 1)
-    with pytest.raises(ValueError, match="denied decision cannot carry"):
-        Decision(("P1",), Admission.DENY, None, None, 1,
+        Decision(matched=("P1",), admission=Admission.DENY, priority=1,
                  bounds=(RuleBound("P1", Bandwidth(64, None, Scope.PER_CONNECTION), 5),))
-    with pytest.raises(ValueError, match="min exceeds"):
-        Decision((), Admission.ALLOW, 10, 5, 1)
+    with pytest.raises(ValueError, match="do not cross"):
+        Decision(matched=(), admission=Admission.ALLOW, priority=1,
+                 flags=frozenset({DecisionFlag.MIN_EXCEEDS_MAX}),
+                 bounds=(RuleBound("P1", Bandwidth(5, 10), None),))
+    with pytest.raises(TypeError, match="effective_min_kbps"):
+        Decision(matched=(), admission=Admission.ALLOW, priority=1, effective_min_kbps=5)
+
+
+def _reference_limits(bounds):
+    """(min, max, crossed): largest min and smallest max, min clamped to max when crossed."""
+    mins = [b.bandwidth.min_kbps for b in bounds if b.bandwidth.min_kbps is not None]
+    maxes = [b.bandwidth.max_kbps for b in bounds if b.bandwidth.max_kbps is not None]
+    low = max(mins) if mins else None
+    high = min(maxes) if maxes else None
+    crossed = low is not None and high is not None and low > high
+    return (high if crossed else low), high, crossed
+
+
+def test_effective_limits_are_the_fold_of_bounds():
+    rng = random.Random(43)
+    min_flag = DecisionFlag.MIN_EXCEEDS_MAX
+    crossings = 0
+    for _ in range(500):
+        bounds = tuple(
+            RuleBound(f"R{i}", bandwidth, None)
+            for i in range(rng.randint(0, 4))
+            if (bandwidth := gen_actions(rng).bandwidth) is not None
+        )
+        low, high, crossed = _reference_limits(bounds)
+        crossings += crossed
+        for flags in ({min_flag}, {DecisionFlag.ADMISSION_CONTRADICTION}, set()):
+            build = lambda: Decision(
+                matched=(), admission=Admission.ALLOW, priority=1,
+                flags=frozenset(flags), bounds=bounds,
+            )
+            if min_flag in flags and not crossed:
+                with pytest.raises(ValueError, match="do not cross"):
+                    build()
+                continue
+            decision = build()
+            assert (decision.effective_min_kbps, decision.effective_max_kbps) == (low, high)
+            assert decision.flags == frozenset(flags | ({min_flag} if crossed else set()))
+    assert crossings >= 20
 
 
 def test_fixture_decisions(campus):

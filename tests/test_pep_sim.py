@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from pbmkit.dsl import parse
-from pbmkit.model import Admission, Catalogs, Scope, timestamp_at
+from pbmkit.model import Admission, Bandwidth, Catalogs, Scope, timestamp_at
 from pbmkit.netrepo import decision_fields, decision_from_fields, encode_payload, parse_payload
-from pbmkit.pdp import Decision, decide
+from pbmkit.pdp import Decision, RuleBound, decide
 from pbmkit.pep_sim import (
     AllocationReport,
     FlowAllocation,
@@ -30,8 +30,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def D(mn=None, mx=None, prio=1, deny=False):
     if deny:
-        return Decision((), Admission.DENY, None, None, prio)
-    return Decision((), Admission.ALLOW, mn, mx, prio)
+        return Decision(matched=(), admission=Admission.DENY, priority=prio)
+    bounds = ()
+    if mn is not None or mx is not None:
+        bounds = (RuleBound("D", Bandwidth(mn, mx, Scope.PER_CONNECTION), None),)
+    return Decision(matched=(), admission=Admission.ALLOW, priority=prio, bounds=bounds)
 
 
 @pytest.fixture(scope="module")
@@ -111,11 +114,11 @@ def test_allocate_input_validation():
 
 
 def test_pipe_validation():
-    with pytest.raises(ValueError, match="needs a minimum or a maximum"):
+    with pytest.raises(ValueError, match="needs a min or a max"):
         Pipe("X", None, None, 5, (0,))
     with pytest.raises(ValueError, match="must be positive"):
         Pipe("X", 0, None, 5, (0,))
-    with pytest.raises(ValueError, match="min exceeds"):
+    with pytest.raises(ValueError, match="min 100 kbps exceeds max 50 kbps"):
         Pipe("X", 100, 50, 5, (0,))
     with pytest.raises(ValueError, match="priority"):
         Pipe("X", 50, None, 0, (0,))
