@@ -11,20 +11,28 @@ A document is line-oriented text with braced blocks.  Statements:
     bind <goal-id> { subject ... target ... if ... then ... }
     rule <id> [from <goal-id>] order <n> { subject ... target ... if ... then ... }
 
-Comments run from '#' to end of line.  Identifiers are runs of letters,
-digits, '-' and '_'; names containing other characters are written as
-quoted strings (escapes: \\ \" \n).  Day sets collapse consecutive days
-into runs ("mon-fri") and join disjoint runs with '+' ("mon+wed-fri").
-Bandwidth accepts kbps or mbps on input; the canonical form always emits
-kbps.  serialize() produces a canonical form: fixed section order, entries
-sorted by id, two-space indentation; parse(serialize(d)) is structurally
-equal to d and serialize is a fixpoint after one round.
+The text is read as tokens by one compiled pattern: words are runs of
+the ASCII characters A-Za-z0-9_.:+/-, strings are double-quoted and end
+on their own line (escapes: \\ \" \n), and { } , = stand alone.  Space,
+tab and CR separate tokens, '#' starts a comment that runs to the end of
+the line, and any other character is a ParseError.  Identifiers are runs
+of letters, digits, '-' and '_'; names containing other characters are
+written as quoted strings.  The three catalog statements (entity,
+service, time) share one reader: '= any' or a braced list of items.
+
+Day sets collapse consecutive days into runs ("mon-fri") and join
+disjoint runs with '+' ("mon+wed-fri").  Bandwidth accepts kbps or mbps
+on input; the canonical form always emits kbps.  serialize() produces a
+canonical form: fixed section order, entries sorted by id, two-space
+indentation; parse(serialize(d)) is structurally equal to d and
+serialize is a fixpoint after one round.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from ipaddress import IPv4Network
+from typing import NamedTuple, NoReturn
 
 from .model import (
     ActionSet,
@@ -66,9 +74,6 @@ _BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 _INT = re.compile(r"\d+")
 _PORT_SPEC = re.compile(r"(\d+)(?:-(\d+))?")
 _TIME_RANGE = re.compile(r"(\d{1,2}):(\d{2})-(\d{1,2}):(\d{2})")
-_WORD_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.:+/-"
-)
 
 
 class ParseError(Exception):
@@ -107,72 +112,81 @@ class Document:
     rules: tuple[PolicyRule, ...] = ()
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # word | string | { | } | , | = | eof
     text: str
     line: int
     column: int
 
 
-def _scan_string(raw: str, start: int, lineno: int) -> tuple[str, int]:
-    out: list[str] = []
-    i = start + 1
-    while i < len(raw):
-        ch = raw[i]
-        if ch == '"':
-            return "".join(out), i + 1
-        if ch == "\\":
-            if i + 1 >= len(raw):
-                break
-            esc = raw[i + 1]
-            if esc == "n":
-                out.append("\n")
-            elif esc in ('"', "\\"):
-                out.append(esc)
-            else:
-                raise ParseError(lineno, i + 2, f"unknown escape \\{esc}", raw)
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    raise ParseError(lineno, start + 1, "unterminated string", raw)
+# One alternative per token kind, tried in this order at each position.  A
+# string stops at its line's end; without its closing quote it is reported
+# as unterminated, after any unknown escape before that point.
+_TOKEN = re.compile(
+    r"(?P<word>[A-Za-z0-9_.:+/-]+)"
+    r"|(?P<newline>\n)"
+    r"|(?P<skip>[ \t\r]+|#[^\n]*)"
+    r'|(?P<string>"(?:[^"\\\n]|\\.)*(?P<closed>")?)'
+    r"|(?P<punct>[{},=])"
+    r"|(?P<bad>.)"
+)
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPED = {"n": "\n", '"': '"', "\\": "\\"}
 
 
-def _tokenize(text: str) -> tuple[list[_Token], list[str]]:
+def _source_line(text: str, line: int) -> str:
+    return text.split("\n")[line - 1]
+
+
+def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    lines = text.split("\n")
-    for lineno, raw in enumerate(lines, 1):
-        i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch in " \t\r":
-                i += 1
-                continue
-            if ch == "#":
-                break
-            col = i + 1
-            if ch == '"':
-                value, i = _scan_string(raw, i, lineno)
-                tokens.append(_Token("string", value, lineno, col))
-            elif ch in "{},=":
-                tokens.append(_Token(ch, ch, lineno, col))
-                i += 1
-            elif ch in _WORD_CHARS:
-                j = i
-                while j < len(raw) and raw[j] in _WORD_CHARS:
-                    j += 1
-                tokens.append(_Token("word", raw[i:j], lineno, col))
-                i = j
-            else:
-                raise ParseError(lineno, col, f"unexpected character {ch!r}", raw)
-    tokens.append(_Token("eof", "", len(lines), len(lines[-1]) + 1))
-    return tokens, lines
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        column = m.start() - line_start + 1
+        if kind == "word":
+            tokens.append(_Token("word", m.group(), line, column))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "punct":
+            tokens.append(_Token(m.group(), m.group(), line, column))
+        elif kind == "string":
+            closed = m.group("closed") is not None
+            value = m.group()[1 : -1 if closed else None]
+            if "\\" in value:
+                value = _decode(value, text, line, column)
+            if not closed:
+                raise ParseError(line, column, "unterminated string", _source_line(text, line))
+            tokens.append(_Token("string", value, line, column))
+        else:
+            raise ParseError(
+                line, column, f"unexpected character {m.group()!r}", _source_line(text, line)
+            )
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def _decode(value: str, text: str, line: int, column: int) -> str:
+    """Resolve the escapes of a string whose opening quote is at column."""
+
+    def resolve(escape: re.Match) -> str:
+        char = escape.group(1)
+        if char not in _ESCAPED:
+            raise ParseError(
+                line, column + escape.start() + 2, f"unknown escape \\{char}",
+                _source_line(text, line),
+            )
+        return _ESCAPED[char]
+
+    return _ESCAPE.sub(resolve, value)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens, self.lines = _tokenize(text)
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.meta: dict[str, str] = {}
         self.entities: dict[str, EntityGroup] = {}
@@ -182,6 +196,7 @@ class _Parser:
         self.refinements: dict[str, Refinement] = {}
         self.bindings: dict[str, Binding] = {}
         self.rules: list[PolicyRule] = []
+        self.orders: set[int] = set()
         # first token of each definition, for semantic error positions
         self.def_tokens: dict[tuple[str, str], _Token] = {}
 
@@ -196,10 +211,9 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def fail(self, message: str, token: _Token | None = None) -> None:
+    def fail(self, message: str, token: _Token | None = None) -> NoReturn:
         tok = token if token is not None else self.peek()
-        snippet = self.lines[tok.line - 1] if 0 < tok.line <= len(self.lines) else ""
-        raise ParseError(tok.line, tok.column, message, snippet)
+        raise ParseError(tok.line, tok.column, message, _source_line(self.text, tok.line))
 
     def expect(self, kind: str) -> _Token:
         tok = self.advance()
@@ -211,6 +225,12 @@ class _Parser:
         tok = self.advance()
         if tok.kind != "word" or tok.text != value:
             self.fail(f"expected {value!r}, got {tok.text!r}", tok)
+        return tok
+
+    def take_word(self, what: str) -> _Token:
+        tok = self.advance()
+        if tok.kind != "word":
+            self.fail(f"expected {what}, got {tok.text!r}", tok)
         return tok
 
     def take_int(self, what: str) -> int:
@@ -239,7 +259,6 @@ class _Parser:
                 self.fail(f"{tok.text!r} is a reserved word", tok)
             return tok
         self.fail(f"expected {what}, got {tok.text!r}", tok)
-        raise AssertionError("unreachable")
 
     def take_ref(self, what: str) -> str:
         """A condition reference: a name or the wildcard keyword 'any'."""
@@ -253,7 +272,6 @@ class _Parser:
                 self.fail(f"{tok.text!r} is a reserved word", tok)
             return tok.text
         self.fail(f"expected {what}, got {tok.text!r}", tok)
-        raise AssertionError("unreachable")
 
     def record_def(self, kind: str, key: str, token: _Token) -> None:
         if (kind, key) in self.def_tokens:
@@ -266,22 +284,27 @@ class _Parser:
     # -- statements ---------------------------------------------------------
 
     def parse_document(self) -> Document:
+        statements = {
+            "meta": self.parse_meta,
+            "entity": lambda: self.parse_catalog(
+                "entity group", self.entities, EntityGroup, self._address
+            ),
+            "service": lambda: self.parse_catalog(
+                "service class", self.services, ServiceClass, self._matcher
+            ),
+            "time": lambda: self.parse_catalog("time class", self.times, TimeClass, self._window),
+            "goal": self.parse_goal,
+            "refine": self.parse_refine,
+            "bind": self.parse_bind,
+            "rule": self.parse_rule,
+        }
         while True:
             tok = self.peek()
             if tok.kind == "eof":
                 break
             if tok.kind != "word":
                 self.fail(f"expected a statement keyword, got {tok.text!r}")
-            handler = {
-                "meta": self.parse_meta,
-                "entity": self.parse_entity,
-                "service": self.parse_service,
-                "time": self.parse_time,
-                "goal": self.parse_goal,
-                "refine": self.parse_refine,
-                "bind": self.parse_bind,
-                "rule": self.parse_rule,
-            }.get(tok.text)
+            handler = statements.get(tok.text)
             if handler is None:
                 self.fail(f"unknown keyword {tok.text!r}")
             handler()
@@ -299,88 +322,67 @@ class _Parser:
                 self.fail(str(exc), value_tok)
         self.meta[key_tok.text] = value_tok.text
 
-    def _wildcard_or_block(self) -> bool:
-        """Consume '= any' (returns True) or position before '{' (False)."""
-        tok = self.peek()
-        if tok.kind == "=":
+    def parse_catalog(self, kind: str, table: dict, entry_type: type, item) -> None:
+        """`<keyword> <name> = any` or `<keyword> <name> { item, item }`."""
+        self.advance()
+        name_tok = self.take_name(f"{kind} name")
+        self.record_def(kind, name_tok.text, name_tok)
+        if self.peek().kind == "=":
             self.advance()
             self.expect_word(WILDCARD)
-            return True
-        return False
+            table[name_tok.text] = entry_type(name_tok.text, None)
+        else:
+            table[name_tok.text] = entry_type(name_tok.text, frozenset(self._block(item)))
 
-    def parse_entity(self) -> None:
-        self.advance()
-        name_tok = self.take_name("entity group name")
-        self.record_def("entity group", name_tok.text, name_tok)
-        if self._wildcard_or_block():
-            self.entities[name_tok.text] = EntityGroup(name_tok.text, None)
-            return
-        members: set[IPv4Network] = set()
-        for tok in self._block_items("address"):
-            try:
-                members.add(IPv4Network(tok.text))
-            except ValueError as exc:
-                self.fail(f"bad address {tok.text!r}: {exc}", tok)
-        if not members:
-            self.fail(f"entity group {name_tok.text!r} has no members", name_tok)
-        self.entities[name_tok.text] = EntityGroup(name_tok.text, frozenset(members))
-
-    def parse_service(self) -> None:
-        self.advance()
-        name_tok = self.take_name("service class name")
-        self.record_def("service class", name_tok.text, name_tok)
-        if self._wildcard_or_block():
-            self.services[name_tok.text] = ServiceClass(name_tok.text, None)
-            return
-        matchers: set[ServiceMatcher] = set()
+    def _block(self, item) -> list:
+        """The items of a '{ item, item }' block, each read by item()."""
         self.expect("{")
+        items = []
         while True:
-            proto_tok = self.advance()
-            if proto_tok.kind != "word" or proto_tok.text not in ("tcp", "udp", "any"):
-                self.fail(f"expected tcp, udp or any, got {proto_tok.text!r}", proto_tok)
-            port_tok = self.advance()
-            m = port_tok.kind == "word" and _PORT_SPEC.fullmatch(port_tok.text)
-            if not m:
-                self.fail(f"expected a port or port range, got {port_tok.text!r}", port_tok)
-            low = int(m.group(1))
-            high = int(m.group(2)) if m.group(2) else low
-            try:
-                matchers.add(ServiceMatcher(proto_tok.text, low, high))
-            except ValueError as exc:
-                self.fail(str(exc), port_tok)
-            if not self._more_items():
-                break
-        self.services[name_tok.text] = ServiceClass(name_tok.text, frozenset(matchers))
+            items.append(item())
+            tok = self.advance()
+            if tok.kind == "}":
+                return items
+            if tok.kind != ",":
+                self.fail(f"expected ',' or '}}', got {tok.text!r}", tok)
 
-    def parse_time(self) -> None:
-        self.advance()
-        name_tok = self.take_name("time class name")
-        self.record_def("time class", name_tok.text, name_tok)
-        if self._wildcard_or_block():
-            self.times[name_tok.text] = TimeClass(name_tok.text, None)
-            return
-        windows: set[TimeWindow] = set()
-        self.expect("{")
-        while True:
-            days = self._parse_dayspec()
-            range_tok = self.advance()
-            m = range_tok.kind == "word" and _TIME_RANGE.fullmatch(range_tok.text)
-            if not m:
-                self.fail(f"expected HH:MM-HH:MM, got {range_tok.text!r}", range_tok)
-            start = int(m.group(1)) * 60 + int(m.group(2))
-            end = int(m.group(3)) * 60 + int(m.group(4))
-            try:
-                windows.add(TimeWindow(days, start, end))
-            except ValueError as exc:
-                self.fail(str(exc), range_tok)
-            if not self._more_items():
-                break
-        self.times[name_tok.text] = TimeClass(name_tok.text, frozenset(windows))
+    def _address(self) -> IPv4Network:
+        tok = self.take_word("address")
+        try:
+            return IPv4Network(tok.text)
+        except ValueError as exc:
+            self.fail(f"bad address {tok.text!r}: {exc}", tok)
+
+    def _matcher(self) -> ServiceMatcher:
+        proto_tok = self.advance()
+        if proto_tok.kind != "word" or proto_tok.text not in ("tcp", "udp", "any"):
+            self.fail(f"expected tcp, udp or any, got {proto_tok.text!r}", proto_tok)
+        port_tok = self.advance()
+        m = port_tok.kind == "word" and _PORT_SPEC.fullmatch(port_tok.text)
+        if not m:
+            self.fail(f"expected a port or port range, got {port_tok.text!r}", port_tok)
+        low = int(m.group(1))
+        high = int(m.group(2)) if m.group(2) else low
+        try:
+            return ServiceMatcher(proto_tok.text, low, high)
+        except ValueError as exc:
+            self.fail(str(exc), port_tok)
+
+    def _window(self) -> TimeWindow:
+        days = self._parse_dayspec()
+        range_tok = self.advance()
+        m = range_tok.kind == "word" and _TIME_RANGE.fullmatch(range_tok.text)
+        if not m:
+            self.fail(f"expected HH:MM-HH:MM, got {range_tok.text!r}", range_tok)
+        start = int(m.group(1)) * 60 + int(m.group(2))
+        end = int(m.group(3)) * 60 + int(m.group(4))
+        try:
+            return TimeWindow(days, start, end)
+        except ValueError as exc:
+            self.fail(str(exc), range_tok)
 
     def _parse_dayspec(self) -> frozenset[int]:
-        tok = self.advance()
-        if tok.kind != "word":
-            self.fail(f"expected days, got {tok.text!r}", tok)
+        tok = self.take_word("days")
         days: set[int] = set()
         for part in tok.text.split("+"):
             if "-" in part:
@@ -396,26 +398,6 @@ class _Parser:
             else:
                 self.fail(f"bad day name {part!r}", tok)
         return frozenset(days)
-
-    def _block_items(self, what: str):
-        """Yield the word tokens of a '{ item, item }' block."""
-        self.expect("{")
-        while True:
-            tok = self.advance()
-            if tok.kind != "word":
-                self.fail(f"expected {what}, got {tok.text!r}", tok)
-            yield tok
-            if not self._more_items():
-                return
-
-    def _more_items(self) -> bool:
-        tok = self.advance()
-        if tok.kind == ",":
-            return True
-        if tok.kind == "}":
-            return False
-        self.fail(f"expected ',' or '}}', got {tok.text!r}", tok)
-        raise AssertionError("unreachable")
 
     def parse_goal(self) -> None:
         self.advance()
@@ -436,9 +418,7 @@ class _Parser:
         mode_tok = self.advance()
         if mode_tok.kind != "word" or mode_tok.text not in ("and", "or"):
             self.fail(f"expected 'and' or 'or', got {mode_tok.text!r}", mode_tok)
-        children = tuple(
-            tok.text for tok in self._block_items("goal id")
-        )
+        children = tuple(self._block(lambda: self.take_word("goal id").text))
         self.refinements[parent_tok.text] = Refinement(
             parent_tok.text, RefinementMode(mode_tok.text), children
         )
@@ -463,9 +443,9 @@ class _Parser:
         self.expect_word("order")
         order_tok = self.peek()
         order = self.take_int("rule order")
-        for existing in self.rules:
-            if existing.order == order:
-                self.fail(f"duplicate rule order {order}", order_tok)
+        if order in self.orders:
+            self.fail(f"duplicate rule order {order}", order_tok)
+        self.orders.add(order)
         subject, target, condition, actions = self._parse_body()
         self.rules.append(
             PolicyRule(id_tok.text, subject, target, condition, actions, order, based_on)
@@ -541,7 +521,6 @@ class _Parser:
             return ActionSet(admission, bandwidth, priority)
         except ValueError as exc:
             self.fail(str(exc), then_tok)
-        raise AssertionError("unreachable")
 
     # -- semantic checks and assembly ----------------------------------------
 

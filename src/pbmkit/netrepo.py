@@ -8,9 +8,12 @@ checksum before parsing.
 
 The wire protocol frames text payloads over TCP: magic "PB", version
 byte 0x01, a kind byte, a big-endian 32-bit payload length, then the
-payload as sorted key=value lines.  PdpServer answers REQ frames with
-DEC decisions, acknowledges RPT usage reports, and pushes SYNC frames
-carrying the canonical document whenever the repository gains a
+payload as sorted key=value lines.  A value escapes backslash as \\\\
+and newline as \\n; decoding resolves them with one regular-expression
+substitution and rejects any other escape, leftmost first.  PdpServer
+answers REQ frames with DEC decisions, acknowledges RPT usage reports,
+and pushes SYNC frames carrying the stored (canonical) document text,
+as verified against its checksum, whenever the repository gains a
 version; PepSession is the matching client.  A DEC frame carries the
 whole Decision: its bandwidth bounds, one per matched rule, are the only
 limits sent, and the client's Decision derives its effective limits from
@@ -19,6 +22,7 @@ them, so it allocates exactly as local replay does.
 from __future__ import annotations
 
 import os
+import re
 import socket
 import struct
 import threading
@@ -86,26 +90,21 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace("\n", "\\n")
 
 
+_ESCAPE = re.compile(r"\\(.?)")
+_ESCAPED = {"\\": "\\", "n": "\n"}
+
+
+def _resolve(escape: re.Match) -> str:
+    char = escape.group(1)
+    if char in _ESCAPED:
+        return _ESCAPED[char]
+    if not char:
+        raise ProtocolError("dangling escape in payload value")
+    raise ProtocolError(f"bad escape \\{char} in payload value")
+
+
 def _unescape(value: str) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(value):
-            raise ProtocolError("dangling escape in payload value")
-        nxt = value[i + 1]
-        if nxt == "\\":
-            out.append("\\")
-        elif nxt == "n":
-            out.append("\n")
-        else:
-            raise ProtocolError(f"bad escape \\{nxt} in payload value")
-        i += 2
-    return "".join(out)
+    return _ESCAPE.sub(_resolve, value) if "\\" in value else value
 
 
 def encode_payload(fields: dict[str, str]) -> bytes:
@@ -369,8 +368,8 @@ def repo_commit(repo_dir: str, doc: Document) -> RepoVersion:
     return entry
 
 
-def repo_load(repo_dir: str, version: int) -> Document:
-    """Load one version, verifying its checksum before parsing."""
+def _read_verified(repo_dir: str, version: int) -> str:
+    """The stored text of one version, after its checksum is verified."""
     entries = repo_log(repo_dir)
     matches = [entry for entry in entries if entry.version == version]
     if not matches:
@@ -384,7 +383,12 @@ def repo_load(repo_dir: str, version: int) -> Document:
         raise RepoError(f"cannot read {entry.path}: {exc}") from None
     if checksum_hex(data) != entry.checksum:
         raise RepoError(f"checksum mismatch for {entry.path}")
-    return parse(data.decode("utf-8"))
+    return data.decode("utf-8")
+
+
+def repo_load(repo_dir: str, version: int) -> Document:
+    """Load one version, verifying its checksum before parsing."""
+    return parse(_read_verified(repo_dir, version))
 
 
 # -- decision service ----------------------------------------------------------
@@ -429,8 +433,10 @@ class PdpServer:
         self._threads: list[threading.Thread] = []
 
     def _load_snapshot(self, version: int) -> _Snapshot:
-        doc = repo_load(self.repo_dir, version)
-        return _Snapshot(version, tuple(doc.rules), doc.catalogs, serialize(doc))
+        # stored text is canonical already: serialize is a fixpoint
+        text = _read_verified(self.repo_dir, version)
+        doc = parse(text)
+        return _Snapshot(version, tuple(doc.rules), doc.catalogs, text)
 
     def start(self) -> "PdpServer":
         entries = repo_log(self.repo_dir)

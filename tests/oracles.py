@@ -2,16 +2,18 @@
 
 Everything here is deliberately written the slow, obvious way (recursive
 set semantics, exhaustive sampling, one-kilobit loops, Fraction
-arithmetic) so that agreement with the shipped fast paths is meaningful.
-Only data types are imported from the package, never its algorithms; the
-one exception is reference_detect_conflicts, which reuses pdp's three
-per-dimension witness functions and checks how they are combined.
+arithmetic, a per-character scanner) so that agreement with the shipped
+fast paths is meaningful.  Only data types are imported from the package,
+never its algorithms; the one exception is reference_detect_conflicts,
+which reuses pdp's three per-dimension witness functions and checks how
+they are combined.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from ipaddress import IPv4Address
 
+from pbmkit.dsl import ParseError, _Token
 from pbmkit.model import Admission, FlowDescriptor, RefinementMode, Scope
 from pbmkit.pdp import (
     Conflict,
@@ -23,6 +25,69 @@ from pbmkit.pdp import (
 
 _EPOCH_MONDAY = 4 * 86400
 _WEEK_MINUTES = 7 * 1440
+
+
+# -- document tokens, one character at a time ---------------------------------
+
+_WORD_CHARS = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.:+/-"
+)
+
+
+def _scan_string(raw: str, start: int, lineno: int) -> tuple[str, int]:
+    out: list[str] = []
+    i = start + 1
+    while i < len(raw):
+        ch = raw[i]
+        if ch == '"':
+            return "".join(out), i + 1
+        if ch == "\\":
+            if i + 1 >= len(raw):
+                break
+            esc = raw[i + 1]
+            if esc == "n":
+                out.append("\n")
+            elif esc in ('"', "\\"):
+                out.append(esc)
+            else:
+                raise ParseError(lineno, i + 2, f"unknown escape \\{esc}", raw)
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    raise ParseError(lineno, start + 1, "unterminated string", raw)
+
+
+def reference_tokenize(text: str) -> tuple[list[_Token], list[str]]:
+    """Tokens of a policy document, scanned line by line and char by char."""
+    tokens: list[_Token] = []
+    lines = text.split("\n")
+    for lineno, raw in enumerate(lines, 1):
+        i = 0
+        while i < len(raw):
+            ch = raw[i]
+            if ch in " \t\r":
+                i += 1
+                continue
+            if ch == "#":
+                break
+            col = i + 1
+            if ch == '"':
+                value, i = _scan_string(raw, i, lineno)
+                tokens.append(_Token("string", value, lineno, col))
+            elif ch in "{},=":
+                tokens.append(_Token(ch, ch, lineno, col))
+                i += 1
+            elif ch in _WORD_CHARS:
+                j = i
+                while j < len(raw) and raw[j] in _WORD_CHARS:
+                    j += 1
+                tokens.append(_Token("word", raw[i:j], lineno, col))
+                i = j
+            else:
+                raise ParseError(lineno, col, f"unexpected character {ch!r}", raw)
+    tokens.append(_Token("eof", "", len(lines), len(lines[-1]) + 1))
+    return tokens, lines
 
 
 # -- strategy enumeration ------------------------------------------------------

@@ -1,14 +1,16 @@
 """Document text format: parsing, canonical serialization, error reporting."""
+import collections
 import random
 from ipaddress import IPv4Network
 from pathlib import Path
 
 import pytest
 
-from pbmkit.dsl import ParseError, parse, serialize
+from pbmkit.dsl import ParseError, _tokenize, parse, serialize
 from pbmkit.model import Admission, Scope, ServiceMatcher, TimeWindow
 
 from .generators import gen_document
+from .oracles import reference_tokenize
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "unicauca.pbm"
 
@@ -101,6 +103,46 @@ def test_comments_and_blank_lines_ignored():
     assert doc.meta == {"name": "x"}
 
 
+def test_string_escapes_decode():
+    doc = parse('meta a "a\\\\q"\nmeta b "say \\"hi\\"\\n"\n')
+    assert doc.meta == {"a": "a\\q", "b": 'say "hi"\n'}
+
+
+def test_crlf_fixture_parses_like_lf():
+    text = FIXTURE.read_text()
+    assert "\r" not in text
+    assert parse(text.replace("\n", "\r\n")) == parse(text)
+
+
+def _lex(tokenize, text):
+    """Tokens as (kind, text, line, column), or the ParseError's fields."""
+    try:
+        tokens = tokenize(text)
+    except ParseError as err:
+        return ("error", err.line, err.column, err.message, err.snippet)
+    return [tuple(tok) for tok in tokens]
+
+
+def test_tokenizer_matches_reference_scanner():
+    texts = [FIXTURE.read_text()]
+    rng = random.Random(20261018)
+    texts += [serialize(gen_document(rng)) for _ in range(50)]
+    # quotes and backslashes weigh more, so that strings and escapes are common
+    alphabet = {'"': 6, "\\": 4, "n": 2, "q": 1, "#": 1, "{": 1, "}": 1, ",": 1, "=": 1,
+                "\r": 1, "\t": 1, "\n": 2, " ": 1, "$": 1, "\u00e9": 1, "\x0b": 1, "\u2028": 1}
+    chars, weights = list(alphabet), list(alphabet.values())
+    texts += [
+        "".join(rng.choices(chars, weights, k=rng.randrange(12))) for _ in range(100_000)
+    ]
+    outcomes = collections.Counter()
+    for text in texts:
+        expected = _lex(lambda t: reference_tokenize(t)[0], text)
+        assert _lex(_tokenize, text) == expected, text
+        outcomes[expected[3].split(" ")[1] if expected[0] == "error" else "tokens"] += 1
+    assert set(outcomes) == {"tokens", "character", "string", "escape"}
+    assert min(outcomes.values()) > 1000
+
+
 def test_rules_sorted_by_order():
     doc = parse(
         'rule B order 20 { subject s target t'
@@ -138,6 +180,12 @@ def test_mbps_and_scope_parsing():
         ("goal G level 0 \"x\"\n", 1, 14, "goal level must be >= 1"),
         ("goal G level 1 \"x\"\ngoal G level 1 \"y\"\n", 2, 6, "duplicate goal"),
         ("refine G and { H }\n", 1, 8, "unknown goal"),
+        ("entity caf\u00e9 = any\n", 1, 11, "unexpected character '\u00e9'"),
+        ("meta\x0bname \"x\"\n", 1, 5, "unexpected character '\\x0b'"),
+        ("goal $G level 1 \"x\"\n", 1, 6, "unexpected character '$'"),
+        ('meta a "x"\nmeta name "ab\\qc"\n', 2, 15, "unknown escape \\q"),
+        ('meta name "a\\qb\n', 1, 14, "unknown escape \\q"),
+        ('meta name "abc\\\n', 1, 11, "unterminated string"),
     ],
 )
 def test_parse_errors_carry_position(text, line, col, fragment):

@@ -74,6 +74,16 @@ def test_payload_sorted_and_escaped():
     assert parse_payload(payload) == {"a": "back\\slash", "b": "x\ny"}
 
 
+def test_payload_values_round_trip():
+    rng = random.Random(46)
+    for _ in range(2000):
+        fields = {
+            f"k{i}": "".join(rng.choice("\\nq=\n") for _ in range(rng.randrange(10)))
+            for i in range(rng.randrange(1, 4))
+        }
+        assert parse_payload(encode_payload(fields)) == fields
+
+
 def test_message_round_trips():
     rng = random.Random(45)
     for _ in range(300):
@@ -108,6 +118,8 @@ def test_decode_errors(data, fragment):
         (b"k=1\nk=2\n", "duplicate payload key"),
         (b"k=a\\qb\n", "bad escape"),
         (b"k=tail\\\n", "dangling escape"),
+        (b"k=\\\\\\q\\x\n", r"bad escape \\q"),  # leftmost bad escape first
+        (b"k=\\x\\\n", r"bad escape \\x"),
         (b"\xff\xfe\n", "not UTF-8"),
     ],
 )
@@ -393,6 +405,7 @@ def test_sync_pushed_on_new_version(tmp_path, campus_doc):
                 pytest.fail("server never swapped to version 2")
             assert session.synced_version == 2
             assert session.synced_text == serialize(compiled)
+            assert session.synced_text == (tmp_path / "v0002.pbm").read_bytes().decode("utf-8")
 
 
 def test_request_beyond_datetime_range_answered(tmp_path, campus_doc):
