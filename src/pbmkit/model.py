@@ -428,17 +428,24 @@ def format_tz_offset(minutes: int) -> str:
 
 
 # First Monday of the epoch; anchor for the weekly minute arithmetic of
-# local_day_minute() and its inverse timestamp_at().
+# week_minute() and its inverse timestamp_at().
 _EPOCH_MONDAY = 4 * 86400
 
+WEEK_MINUTES = 7 * 1440
 
-def local_day_minute(timestamp: int, tz_offset_minutes: int) -> tuple[int, int]:
-    """Map an epoch timestamp to (weekday, minute-of-day) at the given offset.
+
+def week_minute(timestamp: int, tz_offset_minutes: int) -> int:
+    """Minute of the week (0 = Monday 00:00 .. 10079) at the given offset.
 
     Integer week arithmetic, so any integer timestamp maps, including ones
     outside the range datetime can represent.
     """
-    return divmod(((timestamp - _EPOCH_MONDAY) // 60 + tz_offset_minutes) % 10080, 1440)
+    return ((timestamp - _EPOCH_MONDAY) // 60 + tz_offset_minutes) % WEEK_MINUTES
+
+
+def local_day_minute(timestamp: int, tz_offset_minutes: int) -> tuple[int, int]:
+    """Map an epoch timestamp to (weekday, minute-of-day) at the given offset."""
+    return divmod(week_minute(timestamp, tz_offset_minutes), 1440)
 
 
 def timestamp_at(day: int, minute: int, tz_offset_minutes: int = 0) -> int:

@@ -33,8 +33,8 @@ from ipaddress import IPv4Address
 from typing import Sequence
 
 from .dsl import Document, parse, serialize
-from .model import Admission, Bandwidth, Catalogs, FlowDescriptor, PolicyRule, Scope
-from .pdp import Decision, DecisionFlag, RuleBound, decide
+from .model import Admission, Bandwidth, FlowDescriptor, Scope
+from .pdp import CompiledPolicy, Decision, DecisionFlag, RuleBound, compile_policy
 
 
 class ProtocolError(Exception):
@@ -397,8 +397,7 @@ def repo_load(repo_dir: str, version: int) -> Document:
 @dataclass(frozen=True)
 class _Snapshot:
     version: int
-    rules: tuple[PolicyRule, ...]
-    catalogs: Catalogs
+    policy: CompiledPolicy
     text: str
 
 
@@ -436,7 +435,7 @@ class PdpServer:
         # stored text is canonical already: serialize is a fixpoint
         text = _read_verified(self.repo_dir, version)
         doc = parse(text)
-        return _Snapshot(version, tuple(doc.rules), doc.catalogs, text)
+        return _Snapshot(version, compile_policy(doc.rules, doc.catalogs), text)
 
     def start(self) -> "PdpServer":
         entries = repo_log(self.repo_dir)
@@ -564,7 +563,7 @@ class PdpServer:
                     flow = flow_from_fields(message.fields)
                     snapshot = self._snapshot
                     assert snapshot is not None
-                    decision = decide(snapshot.rules, flow, snapshot.catalogs)
+                    decision = snapshot.policy.decide(flow)
                     reply = Message(MessageKind.DECISION, decision_fields(decision))
                 elif message.kind is MessageKind.REPORT:
                     reply = Message(MessageKind.ACK, {})
@@ -573,15 +572,17 @@ class PdpServer:
                 with lock:
                     sock.sendall(encode_message(reply))
         except ProtocolError as exc:
-            try:
-                with lock:
-                    sock.sendall(
-                        encode_message(Message(MessageKind.ERROR, {"reason": str(exc)}))
-                    )
-            except OSError:
-                pass
+            _send_error(sock, lock, str(exc))
         except OSError:
             pass
+        except Exception as exc:
+            # any other fault answering a frame still ends in an ERROR frame
+            import logging  # imported here for the reason given in _watch_loop
+
+            logging.getLogger(__name__).error(
+                "internal error answering a client, closing the connection", exc_info=exc
+            )
+            _send_error(sock, lock, f"internal error: {type(exc).__name__}")
         finally:
             with self._clients_lock:
                 self._clients.pop(sock, None)
@@ -589,6 +590,15 @@ class PdpServer:
                 sock.close()
             except OSError:
                 pass
+
+
+def _send_error(sock: socket.socket, lock: threading.Lock, reason: str) -> None:
+    """Send an ERROR frame; the connection is closed next, so a failed send is moot."""
+    try:
+        with lock:
+            sock.sendall(encode_message(Message(MessageKind.ERROR, {"reason": reason})))
+    except OSError:
+        pass
 
 
 class PepSession:

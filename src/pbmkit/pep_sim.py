@@ -21,9 +21,9 @@ part and receive nothing.
 
 enforce() is the one enforcement pipeline: it buckets a trace into time
 steps, asks a decide callable for each flow, and allocates each step from
-the bandwidth bounds the decisions carry.  replay() feeds it the local
-decide(); the `pep run` client feeds it remote decisions, so both give
-the same reports.
+the bandwidth bounds the decisions carry.  replay() feeds it the decide of
+the rules compiled once per call; the `pep run` client feeds it remote
+decisions, so both give the same reports.
 """
 from __future__ import annotations
 
@@ -34,7 +34,8 @@ from ipaddress import IPv4Address
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import Admission, Bandwidth, Catalogs, FlowDescriptor, PolicyRule, Scope
-from .pdp import Decision, RuleBound, decide
+# decide stays importable from here for callers that look it up on this module
+from .pdp import Decision, RuleBound, compile_policy, decide
 
 
 class TraceError(Exception):
@@ -372,10 +373,13 @@ def replay(
     capacity_kbps: int,
     step_seconds: int = 1,
 ) -> list[AllocationReport]:
-    """Decide locally and allocate a trace, one report per time step."""
-    return list(
-        enforce(flows, capacity_kbps, step_seconds, lambda flow: decide(rules, flow, catalogs))
-    )
+    """Decide locally and allocate a trace, one report per time step.
+
+    The rules are compiled once per call, so a missing catalog entry
+    raises UnknownReferenceError even for an empty trace.
+    """
+    policy = compile_policy(rules, catalogs)
+    return list(enforce(flows, capacity_kbps, step_seconds, policy.decide))
 
 
 def write_report(reports: Sequence[AllocationReport], out) -> None:

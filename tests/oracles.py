@@ -4,9 +4,10 @@ Everything here is deliberately written the slow, obvious way (recursive
 set semantics, exhaustive sampling, one-kilobit loops, Fraction
 arithmetic, a per-character scanner) so that agreement with the shipped
 fast paths is meaningful.  Only data types are imported from the package,
-never its algorithms; the one exception is reference_detect_conflicts,
+never its algorithms; the exceptions are reference_detect_conflicts,
 which reuses pdp's three per-dimension witness functions and checks how
-they are combined.
+they are combined, and reference_decide, which tests each rule with the
+package's rule-at-a-time model.condition_matches.
 """
 from __future__ import annotations
 
@@ -14,10 +15,13 @@ from fractions import Fraction
 from ipaddress import IPv4Address
 
 from pbmkit.dsl import ParseError, _Token
-from pbmkit.model import Admission, FlowDescriptor, RefinementMode, Scope
+from pbmkit.model import Admission, FlowDescriptor, RefinementMode, Scope, condition_matches
 from pbmkit.pdp import (
     Conflict,
     ConflictKind,
+    Decision,
+    DecisionFlag,
+    RuleBound,
     _address_witness,
     _service_witness,
     _time_witness,
@@ -128,6 +132,40 @@ def minimal_satisfying_sets(refinements, root, leaves):
         if satisfies(refinements, root, subset):
             hits.append(subset)
     return {s for s in hits if not any(other < s for other in hits)}
+
+
+# -- decisions, one rule at a time ----------------------------------------------
+
+
+def reference_decide(rules, flow, catalogs):
+    """Combine all matching rules (in document order) into one decision.
+
+    Tests every rule with condition_matches, which resolves the rule's four
+    references before testing any, so the first rule naming a missing
+    catalog entry raises UnknownReferenceError.
+    """
+    matched = [r for r in rules if condition_matches(r.condition, flow, catalogs)]
+    denied = any(r.actions.admission is Admission.DENY for r in matched)
+    allowed_explicitly = any(r.actions.admission is Admission.ALLOW for r in matched)
+    priority = next(
+        (r.actions.priority for r in matched if r.actions.priority is not None), 1
+    )
+    bounds = ()
+    if not denied:
+        bounds = tuple(
+            RuleBound(r.id, r.actions.bandwidth, r.actions.priority)
+            for r in matched
+            if r.actions.bandwidth is not None
+        )
+    return Decision(
+        matched=tuple(r.id for r in matched),
+        admission=Admission.DENY if denied else Admission.ALLOW,
+        priority=priority,
+        flags=frozenset(
+            {DecisionFlag.ADMISSION_CONTRADICTION} if denied and allowed_explicitly else ()
+        ),
+        bounds=bounds,
+    )
 
 
 # -- conflict detection by exhaustive sampling ---------------------------------

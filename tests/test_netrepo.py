@@ -420,6 +420,48 @@ def test_request_beyond_datetime_range_answered(tmp_path, campus_doc):
             assert decision.matched == ("P4",)
 
 
+def test_server_compiles_once_per_version(tmp_path, campus_doc, monkeypatch):
+    repo = str(tmp_path)
+    repo_commit(repo, campus_doc)  # v1: no rules
+    calls = []
+    compile_policy = netrepo.compile_policy
+    monkeypatch.setattr(
+        netrepo, "compile_policy", lambda *args: calls.append(args) or compile_policy(*args)
+    )
+    with PdpServer(repo, poll_interval=0.05) as server:
+        host, port = server.address
+        with PepSession(host, port) as session:
+            for _ in range(5):
+                assert session.request(_voip_flow()).matched == ()
+            assert len(calls) == 1
+
+            repo_commit(repo, _compiled(campus_doc))  # v2: sixteen rules
+            deadline = time.monotonic() + 5.0
+            while session.request(_voip_flow()).matched != ("P4",):
+                assert time.monotonic() < deadline, "server never swapped to version 2"
+                time.sleep(0.05)
+            for _ in range(5):
+                assert session.request(_voip_flow()).matched == ("P4",)
+    assert len(calls) == 2
+
+
+def test_internal_error_answered_with_error_frame(tmp_path, campus_doc, monkeypatch, caplog):
+    repo_commit(str(tmp_path), _compiled(campus_doc))
+
+    def fail(flow):
+        raise RuntimeError("decide failed")
+
+    with caplog.at_level(logging.ERROR, logger="pbmkit.netrepo"):
+        with PdpServer(str(tmp_path)) as server:
+            monkeypatch.setattr(server._snapshot.policy, "decide", fail)
+            host, port = server.address
+            with PepSession(host, port) as session:
+                with pytest.raises(ProtocolError, match=r"^internal error: RuntimeError$"):
+                    session.request(_voip_flow())
+    [record] = caplog.records
+    assert record.exc_info is not None and record.exc_info[0] is RuntimeError
+
+
 def test_watcher_logs_a_failed_load_once(tmp_path, campus_doc, caplog):
     repo = str(tmp_path)
     repo_commit(repo, campus_doc)  # v1: no rules

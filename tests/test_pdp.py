@@ -1,10 +1,13 @@
 """Decision combination, conflict detection with witnesses, device translation."""
 import random
+import sys
+import threading
 from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
 
 import pytest
 
+from pbmkit import pdp
 from pbmkit.dsl import parse
 from pbmkit.model import (
     ActionSet,
@@ -20,6 +23,7 @@ from pbmkit.model import (
     ServiceMatcher,
     TimeClass,
     TimeWindow,
+    WEEK_MINUTES,
     UnknownReferenceError,
     condition_matches,
     timestamp_at,
@@ -33,6 +37,7 @@ from pbmkit.pdp import (
     DeviceProfile,
     RuleBound,
     TranslationError,
+    compile_policy,
     decide,
     detect_conflicts,
     translate_to_device,
@@ -40,7 +45,7 @@ from pbmkit.pdp import (
 from pbmkit.refiner import compile_strategy, enumerate_strategies
 
 from .generators import gen_actions, gen_catalogs_and_rules, gen_flow
-from .oracles import reference_detect_conflicts, sampled_conflict_pairs
+from .oracles import reference_decide, reference_detect_conflicts, sampled_conflict_pairs
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "unicauca.pbm"
 
@@ -229,6 +234,232 @@ def test_fixture_decisions(campus):
     evening = decide(rules, p2p_evening, doc.catalogs)
     assert evening.admission is Admission.ALLOW
     assert "P10" in evening.matched and "P9" not in evening.matched
+
+
+# -- compiled decisions ------------------------------------------------------
+
+_LAST_ADDRESS = 2**32 - 1
+
+
+def _edges(low, high, last):
+    """low and high (inclusive) and their outer neighbours, clipped to 0..last."""
+    return {p for p in (low - 1, low, high, high + 1) if 0 <= p <= last}
+
+
+def _boundary_points(rules, catalogs):
+    """Per dimension, the points around every edge of every entry the rules use."""
+    addresses = {0, _LAST_ADDRESS}
+    ports = {0, 65535}
+    minutes = {WEEK_MINUTES - 1}
+    for day in range(7):  # midnights, Sunday 23:59 -> Monday 00:00 among them
+        minutes |= _edges(day * 1440, day * 1440, WEEK_MINUTES - 1)
+    for rule in rules:
+        c = rule.condition
+        for name in (c.source, c.destination):
+            for net in catalogs.entity_group(name).members or ():
+                addresses |= _edges(
+                    int(net.network_address), int(net.broadcast_address), _LAST_ADDRESS
+                )
+        for m in catalogs.service_class(c.service).matchers or ():
+            ports |= _edges(m.low, m.high, 65535)
+        for w in catalogs.time_class(c.time).windows or ():
+            for day in w.days:  # start - 1, start, end - 1 and end
+                base = day * 1440
+                minutes |= _edges(
+                    base + w.start_minute, base + w.end_minute - 1, WEEK_MINUTES - 1
+                )
+    return sorted(addresses), sorted(ports), sorted(minutes)
+
+
+def _boundary_flows(rng, rules, catalogs, extra):
+    """Each boundary point in a flow of its own, then extra random mixes of them."""
+    addresses, ports, minutes = _boundary_points(rules, catalogs)
+
+    def flow(src=None, dst=None, proto=None, port=None, minute=None):
+        minute = rng.choice(minutes) if minute is None else minute
+        ts = timestamp_at(minute // 1440, minute % 1440, catalogs.tz_offset_minutes)
+        return FlowDescriptor(
+            IPv4Address(rng.choice(addresses) if src is None else src),
+            IPv4Address(rng.choice(addresses) if dst is None else dst),
+            rng.choice(("tcp", "udp")) if proto is None else proto,
+            rng.choice(ports) if port is None else port,
+            ts + rng.choice((0, 59)) + 604800 * rng.randint(-2, 2),
+            1,
+        )
+
+    return (
+        [flow(src=a) for a in addresses]
+        + [flow(dst=a) for a in addresses]
+        + [flow(proto=proto, port=port) for proto in ("tcp", "udp") for port in ports]
+        + [flow(minute=m) for m in minutes]
+        + [flow() for _ in range(extra)]
+    )
+
+
+def _nets(*texts):
+    return frozenset(IPv4Network(text) for text in texts)
+
+
+def _matchers(*specs):
+    return frozenset(ServiceMatcher(*spec) for spec in specs)
+
+
+def _windows(*specs):
+    return frozenset(TimeWindow(frozenset(days), start, end) for days, start, end in specs)
+
+
+def _edge_catalogs(tz_offset_minutes):
+    """Catalog entries whose edges touch, nest and overlap, at one UTC offset."""
+    entities = {
+        "nested": _nets("10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.3/32"),
+        "adjacent": _nets("10.2.0.0/16", "10.3.0.0/16", "10.5.0.0/16"),
+        "inside": _nets("10.1.128.0/17", "10.3.255.255/32"),
+        "extremes": _nets("0.0.0.0/8", "255.255.255.0/24", "255.255.255.255/32"),
+        "everything": _nets("0.0.0.0/0"),
+    }
+    services = {
+        "mixed": _matchers(("tcp", 25, 25), ("udp", 53, 53), ("any", 100, 200)),
+        "adjacent": _matchers(("tcp", 10, 19), ("tcp", 20, 29), ("udp", 30, 39)),
+        "overlap": _matchers(("tcp", 20, 40), ("any", 30, 50), ("udp", 45, 60)),
+        "edges": _matchers(("tcp", 65535, 65535), ("udp", 0, 0), ("any", 0, 1)),
+        "full": _matchers(("any", 0, 65535)),
+    }
+    times = {
+        "wrap": _windows(({6}, 1380, 1440), ({0}, 0, 60)),
+        "weekdays": _windows(({0, 1, 2, 3, 4}, 0, 1440)),
+        "overlap": _windows(({2}, 540, 1020), ({2, 3}, 720, 1080)),
+        "adjacent": _windows(({1}, 480, 720), ({1}, 720, 780), ({5, 6}, 0, 1)),
+    }
+    return Catalogs(
+        {n: EntityGroup(n, m) for n, m in entities.items()},
+        {n: ServiceClass(n, m) for n, m in services.items()},
+        {n: TimeClass(n, w) for n, w in times.items()},
+        tz_offset_minutes,
+    )
+
+
+def _edge_rules(rng, catalogs, count):
+    def ref(pool):
+        return "any" if rng.random() < 0.15 else rng.choice(sorted(pool))
+
+    return [
+        _rule(f"R{i + 1}", i, gen_actions(rng), Condition(
+            ref(catalogs.entities), ref(catalogs.entities),
+            ref(catalogs.services), ref(catalogs.times),
+        ))
+        for i in range(count)
+    ]
+
+
+def _assert_decisions_match_reference(rules, catalogs, flows, one_shot_every):
+    policy = compile_policy(rules, catalogs)
+    matched = set()
+    for index, flow in enumerate(flows):
+        expected = reference_decide(rules, flow, catalogs)
+        assert policy.decide(flow) == expected, flow
+        if index % one_shot_every == 0:
+            assert decide(rules, flow, catalogs) == expected, flow
+        matched.add(expected.matched)
+    return matched
+
+
+def test_compiled_decisions_equal_reference_on_fixture(campus):
+    doc, rules = campus
+    rng = random.Random(61)
+    flows = _boundary_flows(rng, rules, doc.catalogs, 1500)
+    flows += [gen_flow(rng, targeted=True) for _ in range(1500)]
+    matched = _assert_decisions_match_reference(rules, doc.catalogs, flows, 5)
+    assert len(matched) >= 15 and sum(len(m) >= 2 for m in matched) >= 5
+
+
+def test_compiled_decisions_equal_reference_on_edge_catalogs():
+    rng = random.Random(62)
+    seen = set()
+    for tz in (-720, -300, 0, 330, 840):
+        catalogs = _edge_catalogs(tz)
+        rules = _edge_rules(rng, catalogs, 40)
+        flows = _boundary_flows(rng, rules, catalogs, 800)
+        seen |= _assert_decisions_match_reference(rules, catalogs, flows, 10)
+    assert len(seen) >= 200
+
+
+def test_compiled_decisions_equal_reference_on_large_random_policies():
+    rng = random.Random(63)
+    seen = wide = 0
+    for _ in range(12):
+        rules, catalogs = gen_catalogs_and_rules(rng, large=True)
+        flows = _boundary_flows(rng, rules, catalogs, 150)
+        flows += [gen_flow(rng, pooled=True) for _ in range(150)]
+        seen += len(_assert_decisions_match_reference(rules, catalogs, flows, 10))
+        wide += len(rules) > 64
+    assert seen >= 300 and wide >= 1
+
+
+def test_unknown_reference_raises_like_rule_by_rule_matching():
+    catalogs = _edge_catalogs(0)
+    good = Condition("nested", "adjacent", "mixed", "wrap")
+    cases = [
+        ([good, Condition("any", "any", "any", "no-t"), Condition("no-s", "any", "any", "any")],
+         ("time class", "no-t")),
+        ([Condition("nested", "no-d", "no-svc", "any")], ("entity group", "no-d")),
+        ([Condition("any", "any", "no-svc", "no-t")], ("service class", "no-svc")),
+        ([good, Condition("no-s", "no-d", "no-svc", "no-t")], ("entity group", "no-s")),
+        # the first rule cannot match the flow, and still raises first
+        ([Condition("extremes", "no-d", "any", "any"), Condition("no-s", "any", "any", "any")],
+         ("entity group", "no-d")),
+    ]
+    flow = _flow(src="10.1.2.3", dst="10.2.0.1", port=25)
+    for conditions, expected in cases:
+        rules = [
+            _rule(f"R{i}", i, ActionSet(Admission.ALLOW, None, None), c)
+            for i, c in enumerate(conditions)
+        ]
+        for attempt in (
+            lambda: reference_decide(rules, flow, catalogs),
+            lambda: decide(rules, flow, catalogs),
+            lambda: compile_policy(rules, catalogs),
+        ):
+            with pytest.raises(UnknownReferenceError) as info:
+                attempt()
+            assert (info.value.kind, info.value.name) == expected
+
+
+def test_decision_memo_is_capped_across_threads(monkeypatch):
+    monkeypatch.setattr(pdp, "DECISION_MEMO_LIMIT", 6)
+    rng = random.Random(64)
+    catalogs = _edge_catalogs(0)
+    rules = _edge_rules(rng, catalogs, 40)
+    flows = _boundary_flows(rng, rules, catalogs, 300)
+    expected = [reference_decide(rules, flow, catalogs) for flow in flows]
+    assert len({d.matched for d in expected}) > 30
+    policy = compile_policy(rules, catalogs)
+    # each thread walks the flows from its own offset, so they race to store
+    # different decisions while the memo fills
+    offsets = (0, 7, 14, 21)
+    results = [[] for _ in offsets]
+    start = threading.Barrier(len(offsets))
+
+    def work(out, offset):
+        start.wait(timeout=60)
+        out.extend(map(policy.decide, flows[offset:] + flows[:offset]))
+
+    threads = [
+        threading.Thread(target=work, args=(out, offset))
+        for out, offset in zip(results, offsets)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for out, offset in zip(results, offsets):
+        assert out == expected[offset:] + expected[:offset]
+    assert len(policy._memo) == 6
 
 
 # -- conflicts ---------------------------------------------------------------

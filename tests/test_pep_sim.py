@@ -5,8 +5,19 @@ from pathlib import Path
 
 import pytest
 
+from pbmkit import pep_sim
 from pbmkit.dsl import parse
-from pbmkit.model import Admission, Bandwidth, Catalogs, Scope, timestamp_at
+from pbmkit.model import (
+    ActionSet,
+    Admission,
+    Bandwidth,
+    Catalogs,
+    Condition,
+    PolicyRule,
+    Scope,
+    UnknownReferenceError,
+    timestamp_at,
+)
 from pbmkit.netrepo import decision_fields, decision_from_fields, encode_payload, parse_payload
 from pbmkit.pdp import Decision, RuleBound, decide
 from pbmkit.pep_sim import (
@@ -196,6 +207,29 @@ def test_read_trace_skips_blank_rows():
 
 def test_replay_empty_trace():
     assert replay([], Catalogs(), [], 100) == []
+
+
+def test_replay_compiles_once_per_call(campus, monkeypatch):
+    doc, rules = campus
+    calls = []
+    compile_policy = pep_sim.compile_policy
+    monkeypatch.setattr(
+        pep_sim, "compile_policy", lambda *args: calls.append(args) or compile_policy(*args)
+    )
+    flows = read_trace((FIXTURES / "sample_trace.csv").read_text().splitlines())
+    assert len(replay(rules, doc.catalogs, flows, 2000)) == 2
+    assert len(calls) == 1
+    replay(rules, doc.catalogs, flows, 2000, step_seconds=86400)
+    assert len(calls) == 2
+
+
+def test_replay_resolves_references_before_any_flow():
+    rule = PolicyRule(
+        "R1", "dev", "dev", Condition("any", "any", "missing", "any"),
+        ActionSet(Admission.ALLOW), 0,
+    )
+    with pytest.raises(UnknownReferenceError, match="service class 'missing'"):
+        replay([rule], Catalogs(), [], 100)
 
 
 def test_replay_fixture_report(campus):
