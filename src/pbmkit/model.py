@@ -9,6 +9,7 @@ violations, while graph-level problems are reported by validate_graph().
 from __future__ import annotations
 
 import re
+import socket
 from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv4Address, IPv4Network
@@ -367,6 +368,36 @@ class FlowDescriptor:
             raise ValueError(f"flow port out of range: {self.port}")
         if self.demand_kbps < 1:
             raise ValueError("flow demand must be at least 1 kbps")
+
+
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+# the dotted quads IPv4Address accepts: ASCII digits, no leading zeros
+_DOTTED_QUAD = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
+
+
+def read_address(text: str) -> IPv4Address:
+    """IPv4Address(text), reading a plain dotted quad without its string parser."""
+    if _DOTTED_QUAD.fullmatch(text):
+        return IPv4Address(int.from_bytes(socket.inet_aton(text), "big"))
+    return IPv4Address(text)
+
+
+def flow_from_text(
+    timestamp: str, src: str, dst: str, protocol: str, port: str, demand: str
+) -> FlowDescriptor:
+    """The flow six text fields describe, in trace column order.
+
+    Raises ValueError on bad text, checking src, dst, port, timestamp and
+    demand in that order and then the FlowDescriptor invariants.
+    """
+    return FlowDescriptor(
+        src=read_address(src),
+        dst=read_address(dst),
+        protocol=protocol,
+        port=int(port),
+        timestamp=int(timestamp),
+        demand_kbps=int(demand),
+    )
 
 
 _WILD_ENTITY = EntityGroup(WILDCARD, None)

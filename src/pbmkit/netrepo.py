@@ -29,11 +29,10 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import IntEnum
-from ipaddress import IPv4Address
 from typing import Sequence
 
 from .dsl import Document, parse, serialize
-from .model import Admission, Bandwidth, FlowDescriptor, Scope
+from .model import Admission, Bandwidth, FlowDescriptor, Scope, flow_from_text
 from .pdp import CompiledPolicy, Decision, DecisionFlag, RuleBound, compile_policy
 
 
@@ -289,14 +288,7 @@ def flow_from_fields(fields: dict[str, str]) -> FlowDescriptor:
         fields, ("demand", "dst", "port", "proto", "src", "ts")
     )
     try:
-        return FlowDescriptor(
-            src=IPv4Address(src),
-            dst=IPv4Address(dst),
-            protocol=proto,
-            port=int(port),
-            timestamp=int(ts),
-            demand_kbps=int(demand),
-        )
+        return flow_from_text(ts, src, dst, proto, port, demand)
     except ValueError as exc:
         raise ProtocolError(f"bad flow payload: {exc}") from None
 

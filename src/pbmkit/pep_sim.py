@@ -17,23 +17,31 @@ which gives one kilobit per taker per round under the live limits
 whole round that no limit can cut short.  Phase A deals each flow's share
 to that flow and each pipe's share to the pipe's members; Phase B deals
 the leftover pool to each tier's admitted flows.  Denied flows take no
-part and receive nothing.
+part and receive nothing.  The ledger groups the admitted flows by tier
+and inverts pipe membership once per call, and the dealer reads each
+taker's room once per round.  A flow listed twice in a pipe takes two
+kilobits a round.
 
-enforce() is the one enforcement pipeline: it buckets a trace into time
-steps, asks a decide callable for each flow, and allocates each step from
-the bandwidth bounds the decisions carry.  replay() feeds it the decide of
-the rules compiled once per call; the `pep run` client feeds it remote
-decisions, so both give the same reports.
+read_trace() turns CSV rows into flows through model.flow_from_text, the
+same conversion that decodes a wire REQUEST.  enforce() is the one
+enforcement pipeline: it buckets a trace into time steps, asks a decide
+callable for each flow, and allocates each step from the bandwidth
+bounds the decisions carry.  allocate() gets a decision as it is unless
+it holds aggregate bounds; those become pipes and the decision is copied
+without them.  replay() feeds it the decide of the rules compiled once
+per call; the `pep run` client feeds it remote decisions, so both give
+the same reports.
 """
 from __future__ import annotations
 
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from ipaddress import IPv4Address
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import Admission, Bandwidth, Catalogs, FlowDescriptor, PolicyRule, Scope
+from .model import (
+    Admission, Bandwidth, Catalogs, FlowDescriptor, PolicyRule, Scope, flow_from_text,
+)
 # decide stays importable from here for callers that look it up on this module
 from .pdp import Decision, RuleBound, compile_policy, decide
 
@@ -105,33 +113,39 @@ class _LiveState:
 
     def __init__(self, flows: Sequence[tuple[Decision, int]], pipes: Sequence[Pipe]):
         self.decisions = [d for d, _ in flows]
-        self.demands = [demand for _, demand in flows]
         self.granted = [0] * len(flows)
         self.pipes = list(pipes)
         self.pipe_used = [0] * len(pipes)
         self.allowed = [d.admission is Admission.ALLOW for d in self.decisions]
+        # what each flow may take before pipes count: its demand under its own maximum
+        self.ceiling = [
+            demand if d.effective_max_kbps is None else min(demand, d.effective_max_kbps)
+            for d, demand in flows
+        ]
+        # the admitted flows of each priority tier, in input order
+        self.tiers: list[list[int]] = [[] for _ in range(10)]
+        for i, decision in enumerate(self.decisions):
+            if self.allowed[i]:
+                self.tiers[decision.priority].append(i)
         # pipe membership restricted to admitted flows
         self.pipe_members: list[tuple[int, ...]] = [
             tuple(i for i in pipe.members if self.allowed[i]) for pipe in pipes
         ]
-        self.flow_pipes: list[tuple[int, ...]] = [
-            tuple(
-                p for p, members in enumerate(self.pipe_members) if i in members
-            )
-            for i in range(len(flows))
-        ]
+        # the inverse: each flow's pipes in ascending order, once each
+        self.flow_pipes: list[list[int]] = [[] for _ in flows]
+        for p, members in enumerate(self.pipe_members):
+            for i in members:
+                if not self.flow_pipes[i] or self.flow_pipes[i][-1] != p:
+                    self.flow_pipes[i].append(p)
 
     def flow_room(self, i: int) -> int:
         """Kilobits flow i can still absorb under every live limit."""
-        decision = self.decisions[i]
-        room = self.demands[i] - self.granted[i]
-        if decision.effective_max_kbps is not None:
-            room = min(room, decision.effective_max_kbps - self.granted[i])
+        room = self.ceiling[i] - self.granted[i]
         for p in self.flow_pipes[i]:
             cap = self.pipes[p].max_kbps
-            if cap is not None:
-                room = min(room, cap - self.pipe_used[p])
-        return max(room, 0)
+            if cap is not None and cap - self.pipe_used[p] < room:
+                room = cap - self.pipe_used[p]
+        return room if room > 0 else 0
 
     def grant(self, i: int, amount: int):
         self.granted[i] += amount
@@ -167,30 +181,37 @@ def _dhondt_split(targets: list[int], pool: int) -> list[int]:
 def _deal(state: _LiveState, takers: Sequence[int], pool: int) -> int:
     """Deal pool round-robin, one kilobit per taker per round; returns kilobits dealt.
 
+    A flow listed k times among the takers takes up to k kilobits a round.
     Whole rounds that no live limit can cut short are granted at once; a
     round with less than one kilobit per taker is walked by hand.
     """
+    weights = Counter(takers)
     dealt = 0
     while dealt < pool:
-        active = [i for i in takers if state.flow_room(i) > 0]
-        if not active:
+        rooms = {i: room for i in weights if (room := state.flow_room(i)) > 0}
+        if not rooms:
             break
-        rounds = min(min(state.flow_room(i) for i in active), (pool - dealt) // len(active))
-        inside = Counter(p for i in active for p in state.flow_pipes[i])
+        width = sum(weights[i] for i in rooms)
+        rounds = (pool - dealt) // width
+        inside: dict[int, int] = {}
+        for i, room in rooms.items():
+            rounds = min(rounds, room // weights[i])
+            for p in state.flow_pipes[i]:
+                inside[p] = inside.get(p, 0) + weights[i]
         for p, count in inside.items():
             cap = state.pipes[p].max_kbps
             if cap is not None:
                 rounds = min(rounds, (cap - state.pipe_used[p]) // count)
         if rounds > 0:
-            for i in active:
-                state.grant(i, rounds)
-            dealt += rounds * len(active)
+            for i in rooms:
+                state.grant(i, rounds * weights[i])
+            dealt += rounds * width
             continue
-        # the first active taker always gets its kilobit, so this round progresses
-        for i in active:
+        # the first taker with room always gets its kilobit, so this round progresses
+        for i in takers:
             if dealt == pool:
                 break
-            if state.flow_room(i) > 0:
+            if i in rooms and state.flow_room(i) > 0:
                 state.grant(i, 1)
                 dealt += 1
     return dealt
@@ -200,14 +221,11 @@ def _guarantee_phase(state: _LiveState, capacity: int) -> int:
     pool = capacity
     for tier in range(9, 0, -1):
         items: list[tuple[Sequence[int], int]] = []  # (takers, target)
-        for i, decision in enumerate(state.decisions):
-            if not state.allowed[i] or decision.priority != tier:
+        for i in state.tiers[tier]:
+            minimum = state.decisions[i].effective_min_kbps
+            if minimum is None:
                 continue
-            if decision.effective_min_kbps is None:
-                continue
-            target = min(
-                decision.effective_min_kbps - state.granted[i], state.flow_room(i)
-            )
+            target = min(minimum - state.granted[i], state.flow_room(i))
             if target > 0:
                 items.append(((i,), target))
         for p, pipe in enumerate(state.pipes):
@@ -247,12 +265,7 @@ def allocate(
     state = _LiveState(flows, pipes)
     pool = _guarantee_phase(state, capacity_kbps)
     for tier in range(9, 0, -1):
-        admitted = [
-            i
-            for i, decision in enumerate(state.decisions)
-            if state.allowed[i] and decision.priority == tier
-        ]
-        pool -= _deal(state, admitted, pool)
+        pool -= _deal(state, state.tiers[tier], pool)
     return list(state.granted)
 
 
@@ -276,16 +289,8 @@ def read_trace(lines: Iterable[str]) -> list[FlowDescriptor]:
             continue
         if len(row) != len(TRACE_HEADER):
             raise TraceError(number, f"expected {len(TRACE_HEADER)} fields, got {len(row)}")
-        ts_text, src, dst, proto, port_text, demand_text = [f.strip() for f in row]
         try:
-            flow = FlowDescriptor(
-                src=IPv4Address(src),
-                dst=IPv4Address(dst),
-                protocol=proto,
-                port=int(port_text),
-                timestamp=int(ts_text),
-                demand_kbps=int(demand_text),
-            )
+            flow = flow_from_text(*[f.strip() for f in row])
         except ValueError as exc:
             raise TraceError(number, str(exc)) from None
         flows.append(flow)
@@ -332,10 +337,12 @@ def enforce(
                     per_connection.append(bound)
                 else:
                     pipe_members.setdefault(bound, []).append(index)
-            view = Decision(
-                decision.matched, decision.admission, decision.priority,
-                bounds=tuple(per_connection),
-            )
+            view = decision
+            if len(per_connection) < len(decision.bounds):
+                view = Decision(
+                    decision.matched, decision.admission, decision.priority,
+                    bounds=tuple(per_connection),
+                )
             alloc_inputs.append((view, flow.demand_kbps))
         pipes = [
             Pipe(

@@ -148,9 +148,16 @@ def gen_decision(rng: random.Random) -> Decision:
 
 
 def gen_allocate_instance(
-    rng: random.Random, large: bool = False
+    rng: random.Random, large: bool = False, contended: bool = False
 ) -> tuple[list[tuple[Decision, int]], int, list[Pipe]]:
-    """Random allocate() input; large=True gives 10-60 flows, 0-5 pipes, up to 12,000 kbps."""
+    """Random allocate() input; large=True gives 10-60 flows, 0-5 pipes, up to 12,000 kbps.
+
+    contended=True gives the benchmark's shape at a capacity the kilobit
+    reference allocator can follow: 120-250 flows, 1-3 pipes whose members
+    may repeat a flow, and priority-9 minimums that exceed the capacity.
+    """
+    if contended:
+        return _gen_contended_instance(rng)
     flows = [
         (gen_decision(rng), rng.randint(0, 1500))
         for _ in range(rng.randint(10, 60) if large else rng.randint(1, 8))
@@ -177,6 +184,43 @@ def gen_allocate_instance(
     else:
         capacity = rng.randint(0, 2500)
     return flows, capacity, pipes
+
+
+def _gen_contended_instance(
+    rng: random.Random,
+) -> tuple[list[tuple[Decision, int]], int, list[Pipe]]:
+    flows = [
+        (gen_decision(rng), rng.randint(0, rng.choice((40, 1500))))
+        for _ in range(rng.randint(120, 250))
+    ]
+    guaranteed = 0
+    for i in rng.sample(range(len(flows)), rng.randint(15, 40)):
+        min_kbps = rng.randint(20, 100)
+        max_kbps = rng.choice((None, rng.randint(min_kbps, 400)))
+        bound = RuleBound("G", Bandwidth(min_kbps, max_kbps, Scope.PER_CONNECTION), 9)
+        flows[i] = (
+            Decision(matched=("G",), admission=Admission.ALLOW, priority=9, bounds=(bound,)),
+            rng.randint(min_kbps, 1500),
+        )
+        guaranteed += min_kbps
+    pipes = []
+    for j in range(rng.randint(1, 3)):
+        members = rng.sample(range(len(flows)), rng.randint(2, 12))
+        # repeat some of the members with the least demand, so the repeats bind
+        least = sorted(members, key=lambda i: flows[i][1])[:3]
+        members += rng.choices(least, k=rng.randint(1, 4))
+        if rng.random() < 0.5:
+            members.sort()
+        else:
+            rng.shuffle(members)
+        min_kbps = rng.randint(50, 600) if rng.random() < 0.8 else None
+        max_kbps = None
+        if min_kbps is None or rng.random() < 0.5:
+            max_kbps = rng.randint(min_kbps or 1, 1200)
+        pipes.append(
+            Pipe(f"pipe{j + 1}", min_kbps, max_kbps, rng.choice((9, 9, 8, 5)), tuple(members))
+        )
+    return flows, rng.randint(150, min(800, guaranteed - 1)), pipes
 
 
 def gen_goal_graph(

@@ -31,6 +31,7 @@ from pbmkit.model import (
     natural_key,
     parse_tz_offset,
     priority_band,
+    read_address,
     timestamp_at,
     validate_graph,
 )
@@ -235,6 +236,62 @@ def test_flow_descriptor_validation():
         FlowDescriptor(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), "tcp", 70000, 0, 1)
     with pytest.raises(ValueError):
         FlowDescriptor(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), "tcp", 80, 0, 0)
+
+
+def _address_outcome(read, text):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+ADDRESS_CHARS = "0123456789. x+-_\u0661\n"
+
+
+def _address_text(rng):
+    """Random text near a dotted quad, drawn from ADDRESS_CHARS."""
+    if rng.random() < 0.3:
+        return "".join(rng.choice(ADDRESS_CHARS) for _ in range(rng.randint(0, 16)))
+    parts = []
+    for _ in range(rng.choice((3, 4, 4, 4, 4, 5))):
+        roll = rng.random()
+        if roll < 0.75:
+            parts.append(str(rng.randint(0, rng.choice((9, 99, 299)))))
+        elif roll < 0.85:
+            parts.append("0" + str(rng.randint(0, 99)))
+        else:
+            parts.append("".join(rng.choice(ADDRESS_CHARS) for _ in range(rng.randint(0, 3))))
+    text = ".".join(parts)
+    if rng.random() < 0.05:
+        text = rng.choice(ADDRESS_CHARS) + text
+    if rng.random() < 0.05:
+        text += rng.choice(ADDRESS_CHARS)
+    return text
+
+
+def test_read_address_equals_ipv4address_on_edges():
+    edges = [
+        "0.0.0.0", "255.255.255.255", "256.1.1.1", "01.2.3.4", "1.2.3", "1.2.3.4.5",
+        "0x1.2.3.4", "1..2.3", "", "1.2.3.4\n", " 1.2.3.4", "1.2.3.4 ", "+1.2.3.4",
+        "1_0.2.3.4", "\u0661.2.3.4", "255.255.255.256", "249.250.199.100", "00.0.0.0",
+        "1.2.3.", ".1.2.3", "1.2.3.-4", "10.0.0.1",
+    ]
+    for text in edges:
+        assert _address_outcome(read_address, text) == _address_outcome(IPv4Address, text)
+
+
+def test_read_address_equals_ipv4address_on_random_text():
+    rng = random.Random(48)
+    accepted = rejected = 0
+    for _ in range(100_000):
+        text = _address_text(rng)
+        got = _address_outcome(read_address, text)
+        assert got == _address_outcome(IPv4Address, text), text
+        if isinstance(got, IPv4Address):
+            accepted += 1
+        else:
+            rejected += 1
+    assert accepted > 1000 and rejected > 1000
 
 
 def _graph(goals, refinements):

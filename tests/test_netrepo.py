@@ -211,6 +211,37 @@ def test_flow_fields_round_trip():
         assert flow_from_fields(fields) == flow
 
 
+# (fields replaced in a good REQUEST payload, the ProtocolError text)
+BAD_FLOW_PAYLOADS = [
+    ({"src": "10.0.0.256"}, "bad flow payload: Octet 256 (> 255) not permitted in '10.0.0.256'"),
+    ({"src": " 10.0.0.1"}, "bad flow payload: Only decimal digits permitted in ' 10' in ' 10.0.0.1'"),
+    ({"dst": "10.0.0.2\n"}, "bad flow payload: Only decimal digits permitted in '2\\n' in '10.0.0.2\\n'"),
+    ({"dst": "01.0.0.2"}, "bad flow payload: Leading zeros are not permitted in '01' in '01.0.0.2'"),
+    ({"src": ""}, "bad flow payload: Address cannot be empty"),
+    ({"src": "10.0.0.\u0661"}, "bad flow payload: Only decimal digits permitted in '\u0661' in '10.0.0.\u0661'"),
+    ({"src": "1.2.3.4.5"}, "bad flow payload: Expected 4 octets in '1.2.3.4.5'"),
+    ({"src": "1.2.3", "dst": "x", "port": "y"}, "bad flow payload: Expected 4 octets in '1.2.3'"),
+    ({"proto": "icmp"}, "bad flow payload: flow protocol must be tcp or udp, got 'icmp'"),
+    ({"port": "http"}, "bad flow payload: invalid literal for int() with base 10: 'http'"),
+    ({"port": "-1"}, "bad flow payload: flow port out of range: -1"),
+    ({"ts": "5.5"}, "bad flow payload: invalid literal for int() with base 10: '5.5'"),
+    ({"demand": "0"}, "bad flow payload: flow demand must be at least 1 kbps"),
+    ({"src": None}, "payload lacks fields: src"),
+]
+
+
+def test_bad_flow_payload_messages():
+    good = {
+        "demand": "100", "dst": "10.0.0.2", "port": "80",
+        "proto": "tcp", "src": "10.0.0.1", "ts": "5",
+    }
+    for changes, message in BAD_FLOW_PAYLOADS:
+        fields = {k: v for k, v in {**good, **changes}.items() if v is not None}
+        with pytest.raises(ProtocolError) as info:
+            flow_from_fields(fields)
+        assert str(info.value) == message
+
+
 def test_codec_error_reporting():
     with pytest.raises(ProtocolError, match="payload lacks fields"):
         decision_from_fields({"admission": "allow"})

@@ -1,6 +1,7 @@
 """Bandwidth allocation, trace parsing, replay and report output."""
 import io
 import random
+from ipaddress import IPv4Address
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from pbmkit.model import (
     Bandwidth,
     Catalogs,
     Condition,
+    FlowDescriptor,
     PolicyRule,
     Scope,
     UnknownReferenceError,
@@ -169,6 +171,38 @@ def test_random_instances_match_reference_allocator():
                 assert total <= pipe.max_kbps
 
 
+def test_contended_instances_match_reference_allocator():
+    rng = random.Random(45)
+    repeated = 0
+    for _ in range(10):
+        flows, capacity, pipes = gen_allocate_instance(rng, contended=True)
+        guaranteed = sum(
+            decision.effective_min_kbps or 0
+            for decision, _ in flows
+            if decision.admission is Admission.ALLOW and decision.priority == 9
+        )
+        assert guaranteed > capacity
+        assert allocate(flows, capacity, pipes) == oracle_allocate(flows, capacity, pipes)
+        repeated += sum(len(set(pipe.members)) < len(pipe.members) for pipe in pipes)
+    assert repeated >= 10
+
+
+def test_repeated_pipe_member_takes_a_kilobit_per_listing():
+    # a flow listed twice in a pipe takes up to two kilobits a round, never beyond its room
+    pipes = [Pipe("X", 10, None, 5, (0, 0))]
+    assert allocate([(D(), 5)], 100, pipes) == oracle_allocate([(D(), 5)], 100, pipes) == [5]
+    flows = [(D(), 5), (D(), 7)]
+    pipes = [Pipe("X", 10, None, 5, (0, 1, 0))]
+    assert allocate(flows, 9, pipes) == oracle_allocate(flows, 9, pipes) == [5, 4]
+    # the listing repeats, the pipe does not: a kilobit counts once against its maximum
+    flows = [(D(), 50), (D(), 50)]
+    pipes = [Pipe("X", None, 30, 5, (0, 0, 1))]
+    assert allocate(flows, 1000, pipes) == oracle_allocate(flows, 1000, pipes) == [15, 15]
+    flows = [(D(mn=20, prio=9), 50), (D(), 50)]
+    pipes = [Pipe("X", 10, 30, 5, (0, 1, 0))]
+    assert allocate(flows, 1000, pipes) == oracle_allocate(flows, 1000, pipes) == [30, 0]
+
+
 # -- traces --------------------------------------------------------------------
 
 
@@ -194,6 +228,38 @@ def test_read_trace_errors():
     with pytest.raises(TraceError) as info:
         read_trace([header, "zero,10.0.0.1,10.0.0.2,tcp,80,5"])
     assert info.value.line == 2
+
+
+# (third trace line, the TraceError text); line 2 is a good row with padded fields
+BAD_TRACE_ROWS = [
+    ("5,10.0.0.1,10.0.0.2,tcp,80", "line 3: expected 6 fields, got 5"),
+    ("5,10.0.0.1,10.0.0.2,tcp,80,100,7", "line 3: expected 6 fields, got 7"),
+    ("5,10.0.0.256,10.0.0.2,tcp,80,100", "line 3: Octet 256 (> 255) not permitted in '10.0.0.256'"),
+    ("5,10.0.0.1,01.0.0.2,tcp,80,100", "line 3: Leading zeros are not permitted in '01' in '01.0.0.2'"),
+    ("5,10.0.0.1,1.2.3,tcp,80,100", "line 3: Expected 4 octets in '1.2.3'"),
+    ("5,1.2.3.4.5,10.0.0.2,tcp,80,100", "line 3: Expected 4 octets in '1.2.3.4.5'"),
+    ("5,0x1.2.3.4,10.0.0.2,tcp,80,100", "line 3: Only decimal digits permitted in '0x1' in '0x1.2.3.4'"),
+    ("5,1..2.3,10.0.0.2,tcp,80,100", "line 3: Empty octet not permitted in '1..2.3'"),
+    ("5,,10.0.0.2,tcp,80,100", "line 3: Address cannot be empty"),
+    ("5,10.0.0.\u0661,10.0.0.2,tcp,80,100", "line 3: Only decimal digits permitted in '\u0661' in '10.0.0.\u0661'"),
+    ("5,10.0.0.1,10.0.0.2,icmp,80,100", "line 3: flow protocol must be tcp or udp, got 'icmp'"),
+    ("5,10.0.0.1,10.0.0.2,TCP,80,100", "line 3: flow protocol must be tcp or udp, got 'TCP'"),
+    ("5,10.0.0.1,10.0.0.2,tcp,http,100", "line 3: invalid literal for int() with base 10: 'http'"),
+    ("5,10.0.0.1,10.0.0.2,tcp,70000,100", "line 3: flow port out of range: 70000"),
+    ("5.5,10.0.0.1,10.0.0.2,tcp,80,100", "line 3: invalid literal for int() with base 10: '5.5'"),
+    ("5,10.0.0.1,10.0.0.2,tcp,80,0", "line 3: flow demand must be at least 1 kbps"),
+    ("5,10.0.0.1,10.0.0.2,tcp,80,lots", "line 3: invalid literal for int() with base 10: 'lots'"),
+    ("x,10.0.0.300,10.0.0.2,udp,-1,0", "line 3: Octet 300 (> 255) not permitted in '10.0.0.300'"),
+]
+
+
+def test_read_trace_error_messages():
+    header = "ts,src,dst,proto,port,demand_kbps"
+    for row, message in BAD_TRACE_ROWS:
+        with pytest.raises(TraceError) as info:
+            read_trace([header, "1, 10.0.0.9 ,10.0.0.8,udp,53,10", row])
+        assert str(info.value) == message
+        assert info.value.line == 3
 
 
 def test_read_trace_skips_blank_rows():
@@ -328,3 +394,25 @@ def test_wire_decisions_enforce_like_replay():
             shared_pipe_steps += any(size >= 2 for size in pipe_sizes.values())
     assert denied_with_conn_bound > 0
     assert shared_pipe_steps > 0
+
+
+def test_enforce_copies_a_decision_only_to_strip_aggregate_bounds(monkeypatch):
+    conn = RuleBound("C", Bandwidth(10, 50, Scope.PER_CONNECTION), 4)
+    agg = RuleBound("A", Bandwidth(20, None, Scope.AGGREGATE), 6)
+    plain = Decision(("C",), Admission.ALLOW, 4, bounds=(conn,))
+    mixed = Decision(("C", "A"), Admission.ALLOW, 4, bounds=(conn, agg))
+    seen = []
+
+    def spy(flows, capacity, pipes=()):
+        seen.append((flows, pipes))
+        return allocate(flows, capacity, pipes)
+
+    monkeypatch.setattr(pep_sim, "allocate", spy)
+    flow = FlowDescriptor(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), "tcp", 80, 0, 100)
+    picks = iter([plain, mixed])
+    [report] = enforce([flow, flow], 1000, 60, lambda _: next(picks))
+    [(views, pipes)] = seen
+    assert views[0][0] is plain
+    assert views[1][0] == Decision(("C", "A"), Admission.ALLOW, 4, bounds=(conn,))
+    assert pipes == [Pipe("A", 20, None, 6, (1,))]
+    assert [a.granted_kbps for a in report.flows] == [50, 50]
