@@ -259,14 +259,18 @@ def decision_from_fields(fields: dict[str, str]) -> Decision:
         flag_set = frozenset(
             _FLAG_BY_NAME[name] for name in flags.split(",") if name != "-"
         ) if flags != "-" else frozenset()
+        decoded: dict[RuleBound, None] = {}
+        for entry in bounds.split(",") if bounds != "-" else ():
+            bound = _bound_from_text(entry)
+            if bound in decoded:
+                raise ValueError(f"repeated bound {entry!r}")
+            decoded[bound] = None
         return Decision(
             matched=tuple(matched.split(",")) if matched != "-" else (),
             admission=Admission(admission),
             priority=int(priority),
             flags=flag_set,
-            bounds=tuple(
-                _bound_from_text(entry) for entry in bounds.split(",")
-            ) if bounds != "-" else (),
+            bounds=tuple(decoded),
         )
     except (KeyError, ValueError) as exc:
         raise ProtocolError(f"bad decision payload: {exc}") from None

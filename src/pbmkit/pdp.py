@@ -17,16 +17,18 @@ DECISION_MEMO_LIMIT sets).  replay() and PdpServer compile once per rule
 set.  decide(rules, flow, catalogs) is the one-shot form: it compiles the
 rules for a single flow.
 
-detect_conflicts() examines every rule pair whose condition spaces overlap
-and attaches a deterministic witness flow taken from the overlap: the
-lowest common address on each side, the lowest common protocol/port, and
-the earliest common weekly minute.  A condition names one catalog entry in
-each of four dimensions, and rules share few entries, so the witnesses are
-computed once per pair of entry names in a per-dimension table.  Each rule
-then gets one bitset per dimension marking the rules whose entry overlaps
-its own; the AND of a rule's four bitsets, shifted past the rule itself,
-lists the later rules it overlaps (per-field bit vectors, Lakshman &
-Stiliadis, SIGCOMM 1998).  Only those pairs have their actions compared.
+detect_conflicts() reads the same tables.  Two rules overlap in a
+dimension exactly when some elementary interval holds both their bits,
+so each rule's reach, the OR of the interval bitsets holding it, marks
+the rules it overlaps there; the AND of a rule's four reaches, shifted
+past the rule itself, lists the later rules it overlaps (per-field bit
+vectors, Lakshman & Stiliadis, SIGCOMM 1998, over the decomposition of
+Hari, Suri & Parulkar, INFOCOM 2000).  Only those pairs have their
+actions compared.  A conflict's witness flow is the lowest point of the
+overlap: in each dimension the start of the first interval holding both
+rules (the lower port of the two protocol tables, tcp on a tie).  It
+resolves catalog names dimension by dimension, every rule's source
+first, where compile_policy() resolves them rule by rule.
 """
 from __future__ import annotations
 
@@ -34,8 +36,8 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from ipaddress import IPv4Address, IPv4Network
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from ipaddress import IPv4Address
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
     Admission,
@@ -49,7 +51,6 @@ from .model import (
     PolicyRule,
     Scope,
     ServiceClass,
-    ServiceMatcher,
     TimeClass,
     day_runs,
     timestamp_at,
@@ -329,72 +330,6 @@ class Conflict:
         return "warning" if self.kind is ConflictKind.PRIORITY_DIVERGENCE else "error"
 
 
-def _address_witness(a: EntityGroup, b: EntityGroup) -> IPv4Address | None:
-    """Lowest address in the intersection of two groups, or None."""
-    if a.members is None and b.members is None:
-        return IPv4Address("0.0.0.0")
-    if a.members is None or b.members is None:
-        members = b.members if a.members is None else a.members
-        assert members is not None
-        return min(net.network_address for net in members)
-    candidates = [
-        max(na.network_address, nb.network_address)
-        for na in a.members
-        for nb in b.members
-        if na.overlaps(nb)
-    ]
-    return min(candidates) if candidates else None
-
-
-_WILD_MATCHERS = (ServiceMatcher("any", 0, 65535),)
-_PROTO_RANK = {"tcp": 0, "udp": 1}
-
-
-def _protocols(matcher: ServiceMatcher) -> frozenset[str]:
-    return frozenset(("tcp", "udp")) if matcher.protocol == "any" else frozenset((matcher.protocol,))
-
-
-def _service_witness(a: ServiceClass, b: ServiceClass) -> tuple[str, int] | None:
-    """Lowest (port, protocol) point matched by both classes, or None."""
-    ma = tuple(a.matchers) if a.matchers is not None else _WILD_MATCHERS
-    mb = tuple(b.matchers) if b.matchers is not None else _WILD_MATCHERS
-    best: tuple[int, int, str] | None = None
-    for x in ma:
-        for y in mb:
-            protos = _protocols(x) & _protocols(y)
-            low = max(x.low, y.low)
-            if not protos or low > min(x.high, y.high):
-                continue
-            proto = min(protos, key=_PROTO_RANK.__getitem__)
-            key = (low, _PROTO_RANK[proto], proto)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return None
-    return best[2], best[0]
-
-
-def _time_witness(a: TimeClass, b: TimeClass) -> tuple[int, int] | None:
-    """Earliest (day, minute) of the week covered by both classes, or None."""
-    if a.windows is None and b.windows is None:
-        return 0, 0
-    if a.windows is None or b.windows is None:
-        windows = b.windows if a.windows is None else a.windows
-        assert windows is not None
-        return min((min(w.days), w.start_minute) for w in windows)
-    best: tuple[int, int] | None = None
-    for wa in a.windows:
-        for wb in b.windows:
-            common = wa.days & wb.days
-            start = max(wa.start_minute, wb.start_minute)
-            if not common or start >= min(wa.end_minute, wb.end_minute):
-                continue
-            candidate = (min(common), start)
-            if best is None or candidate < best:
-                best = candidate
-    return best
-
-
 def _pair_conflicts(a: PolicyRule, b: PolicyRule) -> list[ConflictKind]:
     kinds: list[ConflictKind] = []
     admissions = {a.actions.admission, b.actions.admission}
@@ -418,35 +353,44 @@ def _pair_conflicts(a: PolicyRule, b: PolicyRule) -> list[ConflictKind]:
     return kinds
 
 
-def _overlap_index(
-    names: list[str],
-    lookup: Callable[[str], Any],
-    witness: Callable[[Any, Any], Any],
-) -> tuple[dict[tuple[str, str], Any], list[int]]:
-    """Witness table and per-rule overlap bitsets for one condition dimension.
+def _members(bits: int) -> Iterator[int]:
+    """Indices of the set bits, lowest first."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield low.bit_length() - 1
 
-    names[i] is rule i's entry name.  witness() runs once per unordered
-    pair of the names used (a name with itself included); the table holds
-    its result under both orders of the pair, and no key for a pair that
-    does not overlap.  Bit j of the i-th bitset is set when rule j's entry
-    overlaps rule i's.
+
+def _overlaps(table: _Table, count: int) -> tuple[list[int], list[int]]:
+    """Per rule of a dimension's table: its reach and its first interval.
+
+    Rule i's reach is the OR of the distinct interval bitsets holding bit
+    i, so it marks the rules sharing an interval with i.  first[i] is the
+    index of the first interval holding bit i (the table's length when
+    none does).
     """
-    entries = {name: lookup(name) for name in names}
-    holders = dict.fromkeys(entries, 0)
-    for index, name in enumerate(names):
-        holders[name] |= 1 << index
-    reach = dict.fromkeys(entries, 0)
-    table = {}
-    distinct = list(entries)
-    for k, u in enumerate(distinct):
-        for v in distinct[k:]:
-            found = witness(entries[u], entries[v])
-            if found is None:
-                continue
-            table[u, v] = table[v, u] = found
-            reach[u] |= holders[v]
-            reach[v] |= holders[u]
-    return table, [reach[name] for name in names]
+    bits = table[1]
+    reach = [0] * count
+    for held in set(bits):
+        for rule in _members(held):
+            reach[rule] |= held
+    first = [len(bits)] * count
+    seen = 0
+    for index, held in enumerate(bits):
+        for rule in _members(held & ~seen):
+            first[rule] = index
+        seen |= held
+    return reach, first
+
+
+def _first_common(table: _Table, first: list[int], i: int, j: int) -> int | None:
+    """Start of the first interval holding both rules i and j, or None."""
+    starts, bits = table
+    both = 1 << i | 1 << j
+    return next(
+        (starts[k] for k in range(max(first[i], first[j]), len(bits)) if bits[k] & both == both),
+        None,
+    )
 
 
 def detect_conflicts(
@@ -454,53 +398,59 @@ def detect_conflicts(
 ) -> list[Conflict]:
     """All pairwise conflicts between rules with overlapping conditions.
 
-    Each dimension (source, destination, service, time) gets a witness
-    table over the entry names the rules use and one overlap bitset per
-    rule.  For rule i, the AND of its four bitsets shifted right by i + 1
-    has a set bit for each later rule whose condition overlaps; only those
-    pairs have their actions compared, and a conflicting pair's witness is
-    assembled from the four table entries.  Conflicts come ordered by
-    (i, j) with i < j in document order, and one pair's kinds in
-    ConflictKind order.
+    The rules are compiled as for decide().  Two rules overlap in a
+    dimension when some interval of its table holds both their bits (in
+    either protocol's table, for ports), so each rule's reach there is the
+    OR of the interval bitsets holding its bit.  For rule i, the AND of
+    its four reaches shifted right by i + 1 has a set bit for each later
+    rule whose condition overlaps; only those pairs have their actions
+    compared.  A conflicting pair's witness is the start of the first
+    interval holding both rules in each dimension: the lowest common
+    address on each side, the lowest common port (tcp on a tie between
+    the protocols) and the earliest common minute of the week.  Conflicts
+    come ordered by (i, j) with i < j in document order, and one pair's
+    kinds in ConflictKind order.
 
-    Every catalog name the rules use is resolved before any pair is
-    examined, so a rule naming a missing entry raises
-    UnknownReferenceError even when no pair has conflicting actions.
+    Catalog names are resolved dimension by dimension before any pair is
+    examined: every rule's source first, then destinations, services and
+    times.  Of several missing entries, the first in that order raises
+    UnknownReferenceError, even when no pair has conflicting actions.
     """
     ordered = list(rules)
-    conditions = [rule.condition for rule in ordered]
-    sources, source_bits = _overlap_index(
-        [c.source for c in conditions], catalogs.entity_group, _address_witness
+    for lookup, dimension in (
+        (catalogs.entity_group, "source"),
+        (catalogs.entity_group, "destination"),
+        (catalogs.service_class, "service"),
+        (catalogs.time_class, "time"),
+    ):
+        for rule in ordered:
+            lookup(getattr(rule.condition, dimension))
+    policy = CompiledPolicy(ordered, catalogs)
+    tables = (
+        policy._sources, policy._destinations, policy._ports["tcp"], policy._ports["udp"],
+        policy._minutes,
     )
-    destinations, destination_bits = _overlap_index(
-        [c.destination for c in conditions], catalogs.entity_group, _address_witness
-    )
-    services, service_bits = _overlap_index(
-        [c.service for c in conditions], catalogs.service_class, _service_witness
-    )
-    times, time_bits = _overlap_index(
-        [c.time for c in conditions], catalogs.time_class, _time_witness
-    )
+    reaches, firsts = zip(*(_overlaps(table, len(ordered)) for table in tables))
+    src, dst, tcp, udp, when = reaches
     conflicts: list[Conflict] = []
     for i, a in enumerate(ordered):
-        overlapping = source_bits[i] & destination_bits[i] & service_bits[i] & time_bits[i]
-        later = overlapping >> (i + 1)
-        while later:
-            low = later & -later
-            later ^= low
-            b = ordered[i + low.bit_length()]
+        later = (src[i] & dst[i] & (tcp[i] | udp[i]) & when[i]) >> (i + 1)
+        for offset in _members(later):
+            j = i + 1 + offset
+            b = ordered[j]
             kinds = _pair_conflicts(a, b)
             if not kinds:
                 continue
-            ca, cb = a.condition, b.condition
-            proto, port = services[ca.service, cb.service]
-            day, minute = times[ca.time, cb.time]
+            low_src, low_dst, tcp_port, udp_port, minute = (
+                _first_common(table, first, i, j) for table, first in zip(tables, firsts)
+            )
+            udp_lower = tcp_port is None or (udp_port is not None and udp_port < tcp_port)
             witness = FlowDescriptor(
-                src=sources[ca.source, cb.source],
-                dst=destinations[ca.destination, cb.destination],
-                protocol=proto,
-                port=port,
-                timestamp=timestamp_at(day, minute, catalogs.tz_offset_minutes),
+                src=IPv4Address(low_src),
+                dst=IPv4Address(low_dst),
+                protocol="udp" if udp_lower else "tcp",
+                port=udp_port if udp_lower else tcp_port,
+                timestamp=timestamp_at(minute // 1440, minute % 1440, catalogs.tz_offset_minutes),
                 demand_kbps=1,
             )
             conflicts.extend(Conflict(a.id, b.id, kind, witness) for kind in kinds)

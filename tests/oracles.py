@@ -4,10 +4,8 @@ Everything here is deliberately written the slow, obvious way (recursive
 set semantics, exhaustive sampling, one-kilobit loops, Fraction
 arithmetic, a per-character scanner) so that agreement with the shipped
 fast paths is meaningful.  Only data types are imported from the package,
-never its algorithms; the exceptions are reference_detect_conflicts,
-which reuses pdp's three per-dimension witness functions and checks how
-they are combined, and reference_decide, which tests each rule with the
-package's rule-at-a-time model.condition_matches.
+never its algorithms; the exception is reference_decide, which tests each
+rule with the package's rule-at-a-time model.condition_matches.
 """
 from __future__ import annotations
 
@@ -15,17 +13,15 @@ from fractions import Fraction
 from ipaddress import IPv4Address
 
 from pbmkit.dsl import ParseError, _Token
-from pbmkit.model import Admission, FlowDescriptor, RefinementMode, Scope, condition_matches
-from pbmkit.pdp import (
-    Conflict,
-    ConflictKind,
-    Decision,
-    DecisionFlag,
-    RuleBound,
-    _address_witness,
-    _service_witness,
-    _time_witness,
+from pbmkit.model import (
+    Admission,
+    FlowDescriptor,
+    RefinementMode,
+    Scope,
+    ServiceMatcher,
+    condition_matches,
 )
+from pbmkit.pdp import Conflict, ConflictKind, Decision, DecisionFlag, RuleBound
 
 _EPOCH_MONDAY = 4 * 86400
 _WEEK_MINUTES = 7 * 1440
@@ -341,6 +337,72 @@ def _reference_kinds(a, b):
     if pa is not None and pb is not None and pa != pb:
         kinds.append(ConflictKind.PRIORITY_DIVERGENCE)
     return kinds
+
+
+def _address_witness(a, b):
+    """Lowest address in the intersection of two groups, or None."""
+    if a.members is None and b.members is None:
+        return IPv4Address("0.0.0.0")
+    if a.members is None or b.members is None:
+        members = b.members if a.members is None else a.members
+        return min(net.network_address for net in members)
+    candidates = [
+        max(na.network_address, nb.network_address)
+        for na in a.members
+        for nb in b.members
+        if na.overlaps(nb)
+    ]
+    return min(candidates) if candidates else None
+
+
+_WILD_MATCHERS = (ServiceMatcher("any", 0, 65535),)
+_PROTO_RANK = {"tcp": 0, "udp": 1}
+
+
+def _protocols(matcher):
+    if matcher.protocol == "any":
+        return frozenset(("tcp", "udp"))
+    return frozenset((matcher.protocol,))
+
+
+def _service_witness(a, b):
+    """Lowest (port, protocol) point matched by both classes, or None."""
+    ma = tuple(a.matchers) if a.matchers is not None else _WILD_MATCHERS
+    mb = tuple(b.matchers) if b.matchers is not None else _WILD_MATCHERS
+    best = None
+    for x in ma:
+        for y in mb:
+            protos = _protocols(x) & _protocols(y)
+            low = max(x.low, y.low)
+            if not protos or low > min(x.high, y.high):
+                continue
+            proto = min(protos, key=_PROTO_RANK.__getitem__)
+            key = (low, _PROTO_RANK[proto], proto)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    return best[2], best[0]
+
+
+def _time_witness(a, b):
+    """Earliest (day, minute) of the week covered by both classes, or None."""
+    if a.windows is None and b.windows is None:
+        return 0, 0
+    if a.windows is None or b.windows is None:
+        windows = b.windows if a.windows is None else a.windows
+        return min((min(w.days), w.start_minute) for w in windows)
+    best = None
+    for wa in a.windows:
+        for wb in b.windows:
+            common = wa.days & wb.days
+            start = max(wa.start_minute, wb.start_minute)
+            if not common or start >= min(wa.end_minute, wb.end_minute):
+                continue
+            candidate = (min(common), start)
+            if best is None or candidate < best:
+                best = candidate
+    return best
 
 
 def reference_detect_conflicts(rules, catalogs):

@@ -277,6 +277,18 @@ def test_codec_error_reporting():
             decision_from_fields(flagged)
 
 
+def test_repeated_bound_is_rejected():
+    # a repeated bound would make enforce list the flow twice in one pipe
+    allowed = decision_fields(Decision(matched=("A",), admission=Admission.ALLOW, priority=1))
+    for bounds, repeated in [
+        ("A:agg:10:-:3,A:agg:10:-:3", "A:agg:10:-:3"),
+        ("R1:conn:5:-:-,R2:agg:9:-:-,R1:conn:05:-:-", "R1:conn:05:-:-"),  # equal once decoded
+    ]:
+        with pytest.raises(ProtocolError) as info:
+            decision_from_fields({**allowed, "bounds": bounds})
+        assert str(info.value) == f"bad decision payload: repeated bound {repeated!r}"
+
+
 # -- repository ----------------------------------------------------------------
 
 

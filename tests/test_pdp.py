@@ -1,4 +1,5 @@
 """Decision combination, conflict detection with witnesses, device translation."""
+import ast
 import random
 import sys
 import threading
@@ -599,11 +600,59 @@ def test_random_rules_match_sampling_oracle():
             assert _witness_reproduces(conflict, rules, catalogs)
 
 
+def _witness_edge_catalogs(tz_offset_minutes):
+    """Entries whose lowest common points sit on the edges of each dimension."""
+    entities = {
+        "nested": _nets("10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"),
+        "inner": _nets("10.1.2.128/25"),
+        "left": _nets("10.1.0.0/16"),
+        "right": _nets("10.2.0.0/16", "10.3.0.0/16"),
+        "zero": _nets("0.0.0.0/32"),
+        "top": _nets("255.255.255.255/32"),
+        "ends": _nets("0.0.0.0/32", "255.255.255.255/32"),
+        "everything": _nets("0.0.0.0/0"),
+    }
+    services = {
+        "any7": _matchers(("any", 7, 9)),
+        "tcp7": _matchers(("tcp", 7, 7)),
+        "udp7": _matchers(("udp", 7, 12)),
+        "udp-first": _matchers(("udp", 5, 10), ("tcp", 8, 10)),
+        "zero": _matchers(("tcp", 0, 0)),
+        "top": _matchers(("udp", 65535, 65535)),
+        "ends": _matchers(("any", 0, 0), ("any", 65535, 65535)),
+    }
+    times = {
+        "morning": _windows(({0}, 480, 720)),
+        "noon": _windows(({0}, 720, 780)),
+        "sunday-late": _windows(({6}, 1380, 1440)),
+        "monday-first": _windows(({0}, 0, 60)),
+        "midnight-run": _windows(({0}, 1380, 1440), ({1}, 0, 60)),
+        "tuesday-early": _windows(({1}, 0, 30)),
+        "monday-late": _windows(({0}, 1400, 1440)),
+    }
+    return Catalogs(
+        {n: EntityGroup(n, m) for n, m in entities.items()},
+        {n: ServiceClass(n, m) for n, m in services.items()},
+        {n: TimeClass(n, w) for n, w in times.items()},
+        tz_offset_minutes,
+    )
+
+
 def test_conflicts_equal_all_pairs_reference(campus):
     doc, rules = campus
     assert detect_conflicts(rules, doc.catalogs) == reference_detect_conflicts(
         rules, doc.catalogs
     )
+    rng = random.Random(54)
+    edge_found = 0
+    for tz in (-720, 0, 840):
+        for catalogs in (_witness_edge_catalogs(tz), _edge_catalogs(tz)):
+            for _ in range(3):
+                rules = _edge_rules(rng, catalogs, 40)
+                conflicts = detect_conflicts(rules, catalogs)
+                assert conflicts == reference_detect_conflicts(rules, catalogs)
+                edge_found += len(conflicts)
+    assert edge_found >= 500
     rng = random.Random(53)
     wide = found = 0
     for large in [False] * 300 + [True] * 40:
@@ -624,6 +673,45 @@ def test_unknown_reference_raises_without_conflicting_actions():
     with pytest.raises(UnknownReferenceError) as info:
         detect_conflicts([a, b], Catalogs())
     assert (info.value.kind, info.value.name) == ("entity group", "missing")
+
+
+def test_referee_imports_only_public_pdp_names():
+    # the conflict referee keeps its own witness code: it may import pdp's
+    # public types, never its private helpers or the module as a whole
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    names = [alias.name for node in imports if node.module == "pbmkit.pdp" for alias in node.names]
+    assert names and all(not name.startswith("_") for name in names), names
+    assert all(
+        alias.name != "pdp" for node in imports if node.module == "pbmkit" for alias in node.names
+    )
+
+
+def test_unknown_reference_raises_dimension_by_dimension():
+    # every rule's source is resolved before any destination, service or time
+    catalogs = _edge_catalogs(0)
+    allow = ActionSet(Admission.ALLOW, None, None)
+    cases = [
+        ([Condition("any", "any", "any", "night"), Condition("ghost", "any", "any", "any")],
+         ("entity group", "ghost")),
+    ]
+    # one missing name per dimension, the time in the first rule and the source
+    # in the last; each case repairs the name the one before it reported
+    spread = [("nested", "any", "any", "no-t"), ("any", "any", "no-svc", "wrap"),
+              ("any", "no-d", "mixed", "any"), ("no-s", "adjacent", "any", "any")]
+    order = [("entity group", "no-s"), ("entity group", "no-d"),
+             ("service class", "no-svc"), ("time class", "no-t")]
+    for k, expected in enumerate(order):
+        repaired = {name for _, name in order[:k]}
+        cases.append((
+            [Condition(*("any" if n in repaired else n for n in names)) for names in spread],
+            expected,
+        ))
+    for conditions, expected in cases:
+        rules = [_rule(f"R{i}", i, allow, c) for i, c in enumerate(conditions)]
+        with pytest.raises(UnknownReferenceError) as info:
+            detect_conflicts(rules, catalogs)
+        assert (info.value.kind, info.value.name) == expected
 
 
 # -- translation -------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Time flow decisions against rule count, on seeded generated policies.
+"""Time flow decisions and conflict detection against rule count.
 
-For policies of 16, 64, 256 and 1024 rules, prints microseconds per call
-of the one-shot pdp.decide (which compiles the rules for every flow), of
-pdp.compile_policy (ten calls per pass), and of CompiledPolicy.decide over
-a fixed flow set (its per-match-set memo starts empty).  Each figure is
-the best of three timed passes.  The one-shot decisions are checked against the compiled
-ones.  Stdlib only:
+For seeded generated policies of 16, 64, 256 and 1024 rules, prints
+microseconds per call of the one-shot pdp.decide (which compiles the
+rules for every flow), of pdp.compile_policy (ten calls per pass), and of
+CompiledPolicy.decide over a fixed flow set (its per-match-set memo
+starts empty), and milliseconds per call of pdp.detect_conflicts (one
+call per pass).  Each figure is the best of three timed passes.  The
+one-shot decisions are checked against the compiled ones.  Stdlib only:
 
     python3 tools/decide_sweep.py
 """
@@ -35,7 +36,7 @@ from pbmkit.model import (  # noqa: E402
     TimeWindow,
     timestamp_at,
 )
-from pbmkit.pdp import compile_policy, decide  # noqa: E402
+from pbmkit.pdp import compile_policy, decide, detect_conflicts  # noqa: E402
 
 SEED = 7
 RULE_COUNTS = (16, 64, 256, 1024)
@@ -143,7 +144,7 @@ def _best_us(run, calls: int) -> float:
 
 def main() -> None:
     print(f"{'rules':>6} {'match sets':>10} {'decide us/flow':>15}"
-          f" {'compile_policy us':>18} {'compiled us/flow':>17}")
+          f" {'compile_policy us':>18} {'compiled us/flow':>17} {'conflicts ms':>13}")
     for count in RULE_COUNTS:
         rng = random.Random(SEED * 100003 + count)
         rules, catalogs = _policy(rng, count)
@@ -161,7 +162,9 @@ def main() -> None:
             if decide(rules, flow, catalogs) != decision:
                 raise SystemExit(f"one-shot and compiled decisions differ for {flow}")
         match_sets = len({d.matched for d in decisions})
-        print(f"{count:6d} {match_sets:10d} {one_shot:15.1f} {compile_us:18.1f} {compiled:17.2f}")
+        conflicts_ms = _best_us(lambda: detect_conflicts(rules, catalogs), 1) / 1000
+        print(f"{count:6d} {match_sets:10d} {one_shot:15.1f} {compile_us:18.1f} {compiled:17.2f}"
+              f" {conflicts_ms:13.1f}")
 
 
 if __name__ == "__main__":
