@@ -667,41 +667,24 @@ def serialize(doc: Document) -> str:
             [f"meta {_ident(k)} {_quote(doc.meta[k])}" for k in sorted(doc.meta)]
         )
     catalogs = doc.catalogs
-    if catalogs.entities:
+    for keyword, table, item_field, item_key, format_item in (
+        ("entity", catalogs.entities, "members",
+         lambda n: (int(n.network_address), n.prefixlen), _format_network),
+        ("service", catalogs.services, "matchers",
+         lambda m: (m.protocol, m.low, m.high), _format_matcher),
+        ("time", catalogs.times, "windows",
+         lambda w: (min(w.days), w.start_minute, w.end_minute, sorted(w.days)), _format_window),
+    ):
+        if not table:
+            continue
         lines = []
-        for name in sorted(catalogs.entities, key=natural_key):
-            group = catalogs.entities[name]
-            if group.members is None:
-                lines.append(f"entity {_name(name)} = any")
+        for name in sorted(table, key=natural_key):
+            items = getattr(table[name], item_field)
+            if items is None:
+                lines.append(f"{keyword} {_name(name)} = any")
             else:
-                members = sorted(group.members, key=lambda n: (int(n.network_address), n.prefixlen))
-                body = ", ".join(_format_network(n) for n in members)
-                lines.append(f"entity {_name(name)} {{ {body} }}")
-        sections.append(lines)
-    if catalogs.services:
-        lines = []
-        for name in sorted(catalogs.services, key=natural_key):
-            svc = catalogs.services[name]
-            if svc.matchers is None:
-                lines.append(f"service {_name(name)} = any")
-            else:
-                matchers = sorted(svc.matchers, key=lambda m: (m.protocol, m.low, m.high))
-                body = ", ".join(_format_matcher(m) for m in matchers)
-                lines.append(f"service {_name(name)} {{ {body} }}")
-        sections.append(lines)
-    if catalogs.times:
-        lines = []
-        for name in sorted(catalogs.times, key=natural_key):
-            tc = catalogs.times[name]
-            if tc.windows is None:
-                lines.append(f"time {_name(name)} = any")
-            else:
-                windows = sorted(
-                    tc.windows,
-                    key=lambda w: (min(w.days), w.start_minute, w.end_minute, sorted(w.days)),
-                )
-                body = ", ".join(_format_window(w) for w in windows)
-                lines.append(f"time {_name(name)} {{ {body} }}")
+                body = ", ".join(format_item(item) for item in sorted(items, key=item_key))
+                lines.append(f"{keyword} {_name(name)} {{ {body} }}")
         sections.append(lines)
     if doc.graph.goals:
         sections.append(

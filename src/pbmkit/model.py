@@ -5,11 +5,18 @@ Defines the goal graph (goals plus AND/OR refinements), the catalog types
 condition/action structure, and flow descriptors.  All values are immutable
 after construction; constructors raise ValueError on local invariant
 violations, while graph-level problems are reported by validate_graph().
+
+What a catalog entry covers is given once, by its spans(): half-open
+integer intervals of addresses, of ports under one protocol, or of
+minutes of the week (0 = Monday 00:00).  pdp compiles rules from these
+spans.  condition_matches(), which tests one rule against one flow, is
+deprecated and kept for one release.
 """
 from __future__ import annotations
 
 import re
 import socket
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv4Address, IPv4Network
@@ -21,6 +28,11 @@ WILDCARD = "any"
 
 PROTOCOLS = ("tcp", "udp")
 MATCHER_PROTOCOLS = ("tcp", "udp", "any")
+
+# ends of the span ranges: addresses, ports, minutes of the week
+_ADDRESS_END = 1 << 32
+_PORT_END = 65536
+WEEK_MINUTES = 7 * 1440
 
 
 class RefinementMode(Enum):
@@ -196,10 +208,13 @@ class EntityGroup:
         if self.members is not None and not self.members:
             raise ValueError(f"entity group {self.name!r} has no members")
 
-    def contains(self, address: IPv4Address) -> bool:
+    def spans(self) -> list[tuple[int, int]]:
+        """The addresses the group covers, as half-open integer intervals."""
         if self.members is None:
-            return True
-        return any(address in net for net in self.members)
+            return [(0, _ADDRESS_END)]
+        return [
+            (int(net.network_address), int(net.broadcast_address) + 1) for net in self.members
+        ]
 
 
 @dataclass(frozen=True)
@@ -213,11 +228,6 @@ class ServiceMatcher:
             raise ValueError(f"bad matcher protocol {self.protocol!r}")
         if not (0 <= self.low <= self.high <= 65535):
             raise ValueError(f"bad port range {self.low}-{self.high}")
-
-    def matches(self, protocol: str, port: int) -> bool:
-        return (self.protocol == "any" or self.protocol == protocol) and (
-            self.low <= port <= self.high
-        )
 
 
 @dataclass(frozen=True)
@@ -233,10 +243,13 @@ class ServiceClass:
         if self.matchers is not None and not self.matchers:
             raise ValueError(f"service class {self.name!r} has no matchers")
 
-    def matches(self, protocol: str, port: int) -> bool:
+    def spans(self, protocol: str) -> list[tuple[int, int]]:
+        """The ports the class covers under protocol, as half-open intervals."""
         if self.matchers is None:
-            return True
-        return any(m.matches(protocol, port) for m in self.matchers)
+            return [(0, _PORT_END)]
+        return [
+            (m.low, m.high + 1) for m in self.matchers if m.protocol in ("any", protocol)
+        ]
 
 
 @dataclass(frozen=True)
@@ -255,9 +268,6 @@ class TimeWindow:
                 f"bad window minutes {self.start_minute}..{self.end_minute}"
             )
 
-    def covers(self, day: int, minute: int) -> bool:
-        return day in self.days and self.start_minute <= minute < self.end_minute
-
 
 @dataclass(frozen=True)
 class TimeClass:
@@ -272,10 +282,15 @@ class TimeClass:
         if self.windows is not None and not self.windows:
             raise ValueError(f"time class {self.name!r} has no windows")
 
-    def covers(self, day: int, minute: int) -> bool:
+    def spans(self) -> list[tuple[int, int]]:
+        """The minutes of the week the class covers, as half-open intervals."""
         if self.windows is None:
-            return True
-        return any(w.covers(day, minute) for w in self.windows)
+            return [(0, WEEK_MINUTES)]
+        return [
+            (day * 1440 + w.start_minute, day * 1440 + w.end_minute)
+            for w in self.windows
+            for day in w.days
+        ]
 
 
 @dataclass(frozen=True)
@@ -388,16 +403,20 @@ def flow_from_text(
     """The flow six text fields describe, in trace column order.
 
     Raises ValueError on bad text, checking src, dst, port, timestamp and
-    demand in that order and then the FlowDescriptor invariants.
+    demand in that order and then the FlowDescriptor invariants.  An
+    integer field is an optional '-' followed by ASCII digits; any other
+    spelling gets the message int() gives for text it cannot read.
     """
-    return FlowDescriptor(
-        src=read_address(src),
-        dst=read_address(dst),
-        protocol=protocol,
-        port=int(port),
-        timestamp=int(timestamp),
-        demand_kbps=int(demand),
-    )
+    source, destination = read_address(src), read_address(dst)
+    digits = port + timestamp + demand
+    if not (digits.isascii() and digits.isdigit()):
+        # one test of the three fields together keeps the common row cheap;
+        # an empty field passes it and fails in int() with the same message
+        for text in (port, timestamp, demand):
+            unsigned = text.removeprefix("-")
+            if not (unsigned.isascii() and unsigned.isdigit()):
+                raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
+    return FlowDescriptor(source, destination, protocol, int(port), int(timestamp), int(demand))
 
 
 _WILD_ENTITY = EntityGroup(WILDCARD, None)
@@ -462,8 +481,6 @@ def format_tz_offset(minutes: int) -> str:
 # week_minute() and its inverse timestamp_at().
 _EPOCH_MONDAY = 4 * 86400
 
-WEEK_MINUTES = 7 * 1440
-
 
 def week_minute(timestamp: int, tz_offset_minutes: int) -> int:
     """Minute of the week (0 = Monday 00:00 .. 10079) at the given offset.
@@ -472,11 +489,6 @@ def week_minute(timestamp: int, tz_offset_minutes: int) -> int:
     outside the range datetime can represent.
     """
     return ((timestamp - _EPOCH_MONDAY) // 60 + tz_offset_minutes) % WEEK_MINUTES
-
-
-def local_day_minute(timestamp: int, tz_offset_minutes: int) -> tuple[int, int]:
-    """Map an epoch timestamp to (weekday, minute-of-day) at the given offset."""
-    return divmod(week_minute(timestamp, tz_offset_minutes), 1440)
 
 
 def timestamp_at(day: int, minute: int, tz_offset_minutes: int = 0) -> int:
@@ -500,14 +512,22 @@ def priority_band(priority: int) -> PriorityBand:
 def condition_matches(
     condition: Condition, flow: FlowDescriptor, catalogs: Catalogs
 ) -> bool:
-    """True when the flow falls inside all four dimensions of the condition."""
-    source = catalogs.entity_group(condition.source)
-    destination = catalogs.entity_group(condition.destination)
-    service = catalogs.service_class(condition.service)
-    time_class = catalogs.time_class(condition.time)
-    if not source.contains(flow.src) or not destination.contains(flow.dst):
-        return False
-    if not service.matches(flow.protocol, flow.port):
-        return False
-    day, minute = local_day_minute(flow.timestamp, catalogs.tz_offset_minutes)
-    return time_class.covers(day, minute)
+    """True when the flow falls inside all four dimensions of the condition.
+
+    Deprecated: compile_policy(rules, catalogs).decide matches flows from
+    the same spans.  All four references are resolved before any is
+    tested, source first, then destination, service and time.
+    """
+    warnings.warn(
+        "condition_matches is deprecated; use compile_policy(rules, catalogs).decide",
+        DeprecationWarning, stacklevel=2,
+    )
+    spans = (
+        catalogs.entity_group(condition.source).spans(),
+        catalogs.entity_group(condition.destination).spans(),
+        catalogs.service_class(condition.service).spans(flow.protocol),
+        catalogs.time_class(condition.time).spans(),
+    )
+    minute = week_minute(flow.timestamp, catalogs.tz_offset_minutes)
+    points = (int(flow.src), int(flow.dst), flow.port, minute)
+    return all(any(low <= p < high for low, high in s) for s, p in zip(spans, points))

@@ -259,18 +259,28 @@ def decision_from_fields(fields: dict[str, str]) -> Decision:
         flag_set = frozenset(
             _FLAG_BY_NAME[name] for name in flags.split(",") if name != "-"
         ) if flags != "-" else frozenset()
-        decoded: dict[RuleBound, None] = {}
+        # a local decision lists a rule once and gives it at most one bound
+        decoded: dict[str, RuleBound] = {}
         for entry in bounds.split(",") if bounds != "-" else ():
             bound = _bound_from_text(entry)
-            if bound in decoded:
-                raise ValueError(f"repeated bound {entry!r}")
-            decoded[bound] = None
+            earlier = decoded.setdefault(bound.rule_id, bound)
+            if earlier is not bound:
+                raise ValueError(
+                    f"repeated bound {entry!r}" if earlier == bound
+                    else f"two bounds for rule {bound.rule_id!r}"
+                )
+        rule_ids = tuple(matched.split(",")) if matched != "-" else ()
+        seen: set[str] = set()
+        for rule_id in rule_ids:
+            if rule_id in seen:
+                raise ValueError(f"matched repeats rule {rule_id!r}")
+            seen.add(rule_id)
         return Decision(
-            matched=tuple(matched.split(",")) if matched != "-" else (),
+            matched=rule_ids,
             admission=Admission(admission),
             priority=int(priority),
             flags=flag_set,
-            bounds=tuple(decoded),
+            bounds=tuple(decoded.values()),
         )
     except (KeyError, ValueError) as exc:
         raise ProtocolError(f"bad decision payload: {exc}") from None

@@ -10,7 +10,8 @@ enforcement turns the bounds into per-connection limits and aggregate
 pipes.
 
 compile_policy() turns a rule set into a CompiledPolicy: per dimension,
-sorted elementary integer intervals, each holding the bitset of the rules
+sorted elementary integer intervals, built from the spans() of the
+catalog entries the rules name, each holding the bitset of the rules
 that match there.  Its decide() costs four bisects and an AND of four ints
 per flow, and it remembers the Decision of each matched-rule set (up to
 DECISION_MEMO_LIMIT sets).  replay() and PdpServer compile once per rule
@@ -45,7 +46,6 @@ from .model import (
     Catalogs,
     DAY_NAMES,
     PROTOCOLS,
-    WEEK_MINUTES,
     EntityGroup,
     FlowDescriptor,
     PolicyRule,
@@ -142,37 +142,8 @@ def _combine(matched: list[PolicyRule]) -> Decision:
 # without bound; sets beyond it are combined again on every flow.
 DECISION_MEMO_LIMIT = 4096
 
-_ADDRESS_END = 1 << 32
-_PORT_END = 65536
-
 # (elementary-interval starts, rule bitset of each interval) for one dimension
 _Table = tuple[list[int], list[int]]
-
-
-def _address_spans(group: EntityGroup) -> list[tuple[int, int]]:
-    if group.members is None:
-        return [(0, _ADDRESS_END)]
-    return [
-        (int(net.network_address), int(net.broadcast_address) + 1) for net in group.members
-    ]
-
-
-def _port_spans(service: ServiceClass, protocol: str) -> list[tuple[int, int]]:
-    if service.matchers is None:
-        return [(0, _PORT_END)]
-    return [
-        (m.low, m.high + 1) for m in service.matchers if m.protocol in ("any", protocol)
-    ]
-
-
-def _minute_spans(time_class: TimeClass) -> list[tuple[int, int]]:
-    if time_class.windows is None:
-        return [(0, WEEK_MINUTES)]
-    return [
-        (day * 1440 + w.start_minute, day * 1440 + w.end_minute)
-        for w in time_class.windows
-        for day in w.days
-    ]
 
 
 def _interval_table(entries: Iterable[tuple[list[tuple[int, int]], int]]) -> _Table:
@@ -238,21 +209,16 @@ class CompiledPolicy:
             _hold(destinations, c.destination, catalogs.entity_group, index)
             _hold(services, c.service, catalogs.service_class, index)
             _hold(times, c.time, catalogs.time_class, index)
-        self._sources = _interval_table(
-            (_address_spans(group), bits) for group, bits in sources.values()
-        )
-        self._destinations = _interval_table(
-            (_address_spans(group), bits) for group, bits in destinations.values()
+        self._sources, self._destinations, self._minutes = (
+            _interval_table((entry.spans(), bits) for entry, bits in held.values())
+            for held in (sources, destinations, times)
         )
         self._ports = {
             protocol: _interval_table(
-                (_port_spans(service, protocol), bits) for service, bits in services.values()
+                (service.spans(protocol), bits) for service, bits in services.values()
             )
             for protocol in PROTOCOLS
         }
-        self._minutes = _interval_table(
-            (_minute_spans(time_class), bits) for time_class, bits in times.values()
-        )
         self._tz = catalogs.tz_offset_minutes
         self._memo: dict[int, Decision] = {}
         self._memo_lock = threading.Lock()

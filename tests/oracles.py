@@ -3,9 +3,10 @@
 Everything here is deliberately written the slow, obvious way (recursive
 set semantics, exhaustive sampling, one-kilobit loops, Fraction
 arithmetic, a per-character scanner) so that agreement with the shipped
-fast paths is meaningful.  Only data types are imported from the package,
-never its algorithms; the exception is reference_decide, which tests each
-rule with the package's rule-at-a-time model.condition_matches.
+fast paths is meaningful.  Only data types and constants are imported
+from the package, never its algorithms: reference_decide tests each rule
+with its own rule-at-a-time matcher, not with the spans the package
+compiles.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from pbmkit.model import (
     RefinementMode,
     Scope,
     ServiceMatcher,
-    condition_matches,
 )
 from pbmkit.pdp import Conflict, ConflictKind, Decision, DecisionFlag, RuleBound
 
@@ -133,14 +133,63 @@ def minimal_satisfying_sets(refinements, root, leaves):
 # -- decisions, one rule at a time ----------------------------------------------
 
 
+def _local_day_minute(ts, offset_minutes):
+    week_minute = ((ts - _EPOCH_MONDAY) // 60 + offset_minutes) % _WEEK_MINUTES
+    return week_minute // 1440, week_minute % 1440
+
+
+def _addr_matches(members, addr):
+    if members is None:
+        return True
+    return any(addr in network for network in members)
+
+
+def _service_matches(matchers, proto, port):
+    if matchers is None:
+        return True
+    return any(
+        (m.protocol == "any" or m.protocol == proto) and m.low <= port <= m.high
+        for m in matchers
+    )
+
+
+def _time_matches(windows, day, minute):
+    if windows is None:
+        return True
+    return any(
+        day in w.days and w.start_minute <= minute < w.end_minute for w in windows
+    )
+
+
+def reference_condition_matches(condition, flow, catalogs):
+    """True when the flow falls inside all four dimensions of the condition.
+
+    Resolves the four references before testing any (source, destination,
+    service, time), so a missing catalog entry raises UnknownReferenceError
+    whether or not the flow would match.
+    """
+    source = catalogs.entity_group(condition.source)
+    destination = catalogs.entity_group(condition.destination)
+    service = catalogs.service_class(condition.service)
+    time_class = catalogs.time_class(condition.time)
+    return (
+        _addr_matches(source.members, flow.src)
+        and _addr_matches(destination.members, flow.dst)
+        and _service_matches(service.matchers, flow.protocol, flow.port)
+        and _time_matches(
+            time_class.windows, *_local_day_minute(flow.timestamp, catalogs.tz_offset_minutes)
+        )
+    )
+
+
 def reference_decide(rules, flow, catalogs):
     """Combine all matching rules (in document order) into one decision.
 
-    Tests every rule with condition_matches, which resolves the rule's four
-    references before testing any, so the first rule naming a missing
-    catalog entry raises UnknownReferenceError.
+    Tests every rule with reference_condition_matches, which resolves the
+    rule's four references before testing any, so the first rule naming a
+    missing catalog entry raises UnknownReferenceError.
     """
-    matched = [r for r in rules if condition_matches(r.condition, flow, catalogs)]
+    matched = [r for r in rules if reference_condition_matches(r.condition, flow, catalogs)]
     denied = any(r.actions.admission is Admission.DENY for r in matched)
     allowed_explicitly = any(r.actions.admission is Admission.ALLOW for r in matched)
     priority = next(
@@ -165,11 +214,6 @@ def reference_decide(rules, flow, catalogs):
 
 
 # -- conflict detection by exhaustive sampling ---------------------------------
-
-
-def _local_day_minute(ts, offset_minutes):
-    week_minute = ((ts - _EPOCH_MONDAY) // 60 + offset_minutes) % _WEEK_MINUTES
-    return week_minute // 1440, week_minute % 1440
 
 
 def _entity(catalogs, name):
@@ -218,29 +262,6 @@ def _service_points(catalogs, names):
             for proto in protos:
                 points.add((proto, m.low))
     return sorted(points)
-
-
-def _addr_matches(members, addr):
-    if members is None:
-        return True
-    return any(addr in network for network in members)
-
-
-def _service_matches(matchers, proto, port):
-    if matchers is None:
-        return True
-    return any(
-        (m.protocol == "any" or m.protocol == proto) and m.low <= port <= m.high
-        for m in matchers
-    )
-
-
-def _time_matches(windows, day, minute):
-    if windows is None:
-        return True
-    return any(
-        day in w.days and w.start_minute <= minute < w.end_minute for w in windows
-    )
 
 
 def sampled_conflict_pairs(rules, catalogs):

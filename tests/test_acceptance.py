@@ -18,7 +18,6 @@ from pbmkit.model import (
     FlowDescriptor,
     PriorityBand,
     Scope,
-    condition_matches,
     priority_band,
     timestamp_at,
 )
@@ -50,6 +49,7 @@ from .oracles import (
     minimal_satisfying_sets,
     oracle_allocate,
     recursive_families,
+    reference_condition_matches,
     sampled_conflict_pairs,
 )
 
@@ -175,8 +175,8 @@ def test_criterion_4_conflicts_match_exhaustive_oracle():
         by_id = {r.id: r for r in rules}
         for c in conflicts:
             a, b, w = by_id[c.rule_a], by_id[c.rule_b], c.witness
-            assert condition_matches(a.condition, w, catalogs)
-            assert condition_matches(b.condition, w, catalogs)
+            assert reference_condition_matches(a.condition, w, catalogs)
+            assert reference_condition_matches(b.condition, w, catalogs)
             pair = decide([a, b], w, catalogs)
             if c.kind is ConflictKind.ADMISSION:
                 assert DecisionFlag.ADMISSION_CONTRADICTION in pair.flags

@@ -90,6 +90,33 @@ def test_serialize_layout(campus):
     assert ids.index("SG3-2") < ids.index("SG3-10")
 
 
+def test_serialize_orders_catalog_entries_and_items():
+    # entries by natural name; members by address then prefix length,
+    # matchers by protocol then ports, windows by first day, minutes, days
+    doc = parse(
+        "time T10 { sat-sun 00:00-24:00, mon 09:00-10:00, mon 08:00-12:00,"
+        " mon+wed 08:00-09:00, mon 08:00-09:00 }\n"
+        "service S2 { udp 53, tcp 80, tcp 25, any 25-30, tcp 25-26 }\n"
+        "time T9 = any\n"
+        "entity E1 { 10.0.0.0/16, 10.0.0.0/8, 9.0.0.7 }\n"
+        "entity E10 = any\n"
+        "service S1 = any\n"
+    )
+    assert serialize(doc) == (
+        "# pbm v1\n"
+        "\n"
+        "entity E1 { 9.0.0.7, 10.0.0.0/8, 10.0.0.0/16 }\n"
+        "entity E10 = any\n"
+        "\n"
+        "service S1 = any\n"
+        "service S2 { any 25-30, tcp 25, tcp 25-26, tcp 80, udp 53 }\n"
+        "\n"
+        "time T9 = any\n"
+        "time T10 { mon 08:00-09:00, mon+wed 08:00-09:00, mon 08:00-12:00,"
+        " mon 09:00-10:00, sat-sun 00:00-24:00 }\n"
+    )
+
+
 def test_empty_document_parses():
     doc = parse("")
     assert doc.meta == {}

@@ -23,17 +23,18 @@ from pbmkit.model import (
     ServiceMatcher,
     TimeClass,
     TimeWindow,
+    WEEK_MINUTES,
     UnknownReferenceError,
     condition_matches,
     day_runs,
     format_tz_offset,
-    local_day_minute,
     natural_key,
     parse_tz_offset,
     priority_band,
     read_address,
     timestamp_at,
     validate_graph,
+    week_minute,
 )
 
 
@@ -64,7 +65,7 @@ def test_timestamp_at_inverts_local_day_minute():
         for minute in (0, 479, 480, 1439):
             for off in (0, -300, 330):
                 ts = timestamp_at(day, minute, off)
-                assert local_day_minute(ts, off) == (day, minute)
+                assert divmod(week_minute(ts, off), 1440) == (day, minute)
 
 
 def test_local_day_minute_matches_datetime_reference():
@@ -74,12 +75,14 @@ def test_local_day_minute_matches_datetime_reference():
                 for _ in range(3000)]
     for ts, off in samples:
         moment = datetime.fromtimestamp(ts, timezone.utc) + timedelta(minutes=off)
-        assert local_day_minute(ts, off) == (moment.weekday(), moment.hour * 60 + moment.minute)
+        assert divmod(week_minute(ts, off), 1440) == (
+            moment.weekday(), moment.hour * 60 + moment.minute
+        )
     # beyond datetime's range a timestamp maps like one whole weeks earlier
     week = 7 * 86400
     for ts, off in samples[:50]:
         far = ts + rng.choice((10**20 // week, -(10**20 // week))) * week
-        assert local_day_minute(far, off) == local_day_minute(ts, off)
+        assert divmod(week_minute(far, off), 1440) == divmod(week_minute(ts, off), 1440)
 
 
 def test_case_study_timestamps():
@@ -109,15 +112,22 @@ def test_priority_band_covers_all_nine_values():
         priority_band(True)
 
 
+def _covered(spans, point):
+    return any(low <= point < high for low, high in spans)
+
+
 def test_time_window_half_open_interval():
     window = TimeWindow(frozenset({0, 1, 2, 3, 4}), 480, 1080)
-    assert window.covers(0, 480)
-    assert window.covers(4, 1079)
-    assert not window.covers(0, 1080)
-    assert not window.covers(5, 600)
-    midnight = TimeWindow(frozenset({5, 6}), 0, 1440)
-    assert midnight.covers(6, 1439)
-    assert not midnight.covers(0, 0)
+    spans = TimeClass("work", frozenset({window})).spans()
+    assert sorted(spans) == [(d * 1440 + 480, d * 1440 + 1080) for d in range(5)]
+    assert _covered(spans, 0 * 1440 + 480)
+    assert _covered(spans, 4 * 1440 + 1079)
+    assert not _covered(spans, 0 * 1440 + 1080)
+    assert not _covered(spans, 5 * 1440 + 600)
+    midnight = TimeClass("weekend", frozenset({TimeWindow(frozenset({5, 6}), 0, 1440)})).spans()
+    assert _covered(midnight, 6 * 1440 + 1439)
+    assert not _covered(midnight, 0)
+    assert TimeClass("always", None).spans() == [(0, WEEK_MINUTES)]
 
 
 def test_time_window_validation():
@@ -133,22 +143,29 @@ def test_time_window_validation():
 
 def test_entity_group_membership():
     group = EntityGroup("lab", frozenset({IPv4Network("10.0.0.0/30")}))
-    assert group.contains(IPv4Address("10.0.0.3"))
-    assert not group.contains(IPv4Address("10.0.0.4"))
-    assert EntityGroup("all", None).contains(IPv4Address("192.0.2.1"))
+    assert group.spans() == [(int(IPv4Address("10.0.0.0")), int(IPv4Address("10.0.0.4")))]
+    assert _covered(group.spans(), int(IPv4Address("10.0.0.3")))
+    assert not _covered(group.spans(), int(IPv4Address("10.0.0.4")))
+    assert _covered(EntityGroup("all", None).spans(), int(IPv4Address("192.0.2.1")))
+    assert EntityGroup("all", None).spans() == [(0, 1 << 32)]
+    edges = EntityGroup("edges", frozenset({IPv4Network("255.255.255.255/32")}))
+    assert edges.spans() == [((1 << 32) - 1, 1 << 32)]
 
 
 def test_service_matching():
     mail = ServiceClass(
         "mail", frozenset({ServiceMatcher("tcp", 25, 25), ServiceMatcher("tcp", 110, 143)})
     )
-    assert mail.matches("tcp", 25)
-    assert mail.matches("tcp", 120)
-    assert not mail.matches("udp", 25)
-    assert not mail.matches("tcp", 144)
+    assert sorted(mail.spans("tcp")) == [(25, 26), (110, 144)]
+    assert _covered(mail.spans("tcp"), 25)
+    assert _covered(mail.spans("tcp"), 120)
+    assert not _covered(mail.spans("udp"), 25)
+    assert not _covered(mail.spans("tcp"), 144)
     anyproto = ServiceClass("p2p", frozenset({ServiceMatcher("any", 6881, 6889)}))
-    assert anyproto.matches("udp", 6885)
-    assert ServiceClass("all", None).matches("udp", 12345)
+    assert _covered(anyproto.spans("udp"), 6885)
+    assert anyproto.spans("tcp") == anyproto.spans("udp") == [(6881, 6890)]
+    assert _covered(ServiceClass("all", None).spans("udp"), 12345)
+    assert ServiceClass("all", None).spans("tcp") == [(0, 65536)]
     with pytest.raises(ValueError):
         ServiceMatcher("tcp", 100, 99)
     with pytest.raises(ValueError):
@@ -181,7 +198,6 @@ def test_condition_matches_uses_all_four_dimensions():
         IPv4Address("10.1.1.3"), IPv4Address("8.8.8.8"), "tcp", 25,
         timestamp_at(0, 600, -300), 100,
     )
-    assert condition_matches(condition, flow, catalogs)
     wrong_src = FlowDescriptor(
         IPv4Address("10.9.9.9"), flow.dst, "tcp", 25, flow.timestamp, 100
     )
@@ -189,9 +205,11 @@ def test_condition_matches_uses_all_four_dimensions():
     wrong_time = FlowDescriptor(
         flow.src, flow.dst, "tcp", 25, timestamp_at(6, 600, -300), 100
     )
-    assert not condition_matches(condition, wrong_src, catalogs)
-    assert not condition_matches(condition, wrong_port, catalogs)
-    assert not condition_matches(condition, wrong_time, catalogs)
+    with pytest.warns(DeprecationWarning, match="compile_policy"):
+        assert condition_matches(condition, flow, catalogs)
+        assert not condition_matches(condition, wrong_src, catalogs)
+        assert not condition_matches(condition, wrong_port, catalogs)
+        assert not condition_matches(condition, wrong_time, catalogs)
 
 
 def test_unknown_references_raise():

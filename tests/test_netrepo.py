@@ -242,6 +242,35 @@ def test_bad_flow_payload_messages():
         assert str(info.value) == message
 
 
+# integer spellings int() reads that the wire format does not describe;
+# REQUEST values are not stripped
+BAD_INTEGER_PAYLOADS = [
+    ({"port": " 80"}, "bad flow payload: invalid literal for int() with base 10: ' 80'"),
+    ({"port": "8_0"}, "bad flow payload: invalid literal for int() with base 10: '8_0'"),
+    ({"ts": "+5"}, "bad flow payload: invalid literal for int() with base 10: '+5'"),
+    ({"ts": "5\n"}, "bad flow payload: invalid literal for int() with base 10: '5\\n'"),
+    ({"ts": "-1_0"}, "bad flow payload: invalid literal for int() with base 10: '-1_0'"),
+    ({"demand": "100 "}, "bad flow payload: invalid literal for int() with base 10: '100 '"),
+    ({"demand": "\u0661\u0660"},
+     "bad flow payload: invalid literal for int() with base 10: '\u0661\u0660'"),
+]
+
+
+def test_flow_payload_integers_are_ascii_digits():
+    good = {
+        "demand": "100", "dst": "10.0.0.2", "port": "80",
+        "proto": "tcp", "src": "10.0.0.1", "ts": "5",
+    }
+    for changes, message in BAD_INTEGER_PAYLOADS:
+        with pytest.raises(ProtocolError) as info:
+            flow_from_fields({**good, **changes})
+        assert str(info.value) == message
+    # every flow flow_fields encodes still decodes, negative timestamps too
+    for ts in (-(10**12), -1, 0, 7):
+        flow = FlowDescriptor(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), "udp", 0, ts, 1)
+        assert flow_from_fields(flow_fields(flow)) == flow
+
+
 def test_codec_error_reporting():
     with pytest.raises(ProtocolError, match="payload lacks fields"):
         decision_from_fields({"admission": "allow"})
@@ -287,6 +316,24 @@ def test_repeated_bound_is_rejected():
         with pytest.raises(ProtocolError) as info:
             decision_from_fields({**allowed, "bounds": bounds})
         assert str(info.value) == f"bad decision payload: repeated bound {repeated!r}"
+
+
+def test_decision_that_no_server_produces_is_rejected():
+    # a local decision lists each matched rule once, with at most one bound
+    allowed = {"admission": "allow", "bounds": "-", "flags": "-", "matched": "A", "priority": "3"}
+    for changes, message in [
+        ({"matched": "B,B"}, "matched repeats rule 'B'"),
+        ({"matched": "A,B,C,B"}, "matched repeats rule 'B'"),
+        ({"bounds": "A:agg:10:-:3,A:conn:20:-:3"}, "two bounds for rule 'A'"),
+        ({"bounds": "A:agg:10:-:3,B:agg:5:-:-,A:agg:20:-:3"}, "two bounds for rule 'A'"),
+        ({"bounds": "A:agg:10:-:3,A:agg:10:-:3"}, "repeated bound 'A:agg:10:-:3'"),
+        ({"bounds": "A:agg:10:-:3,A:conn:20:-:3", "matched": "B,B"}, "two bounds for rule 'A'"),
+    ]:
+        with pytest.raises(ProtocolError) as info:
+            decision_from_fields({**allowed, **changes})
+        assert str(info.value) == f"bad decision payload: {message}"
+    fields = {**allowed, "matched": "A,B", "bounds": "A:agg:10:-:3,B:conn:20:-:-"}
+    assert decision_from_fields(fields).matched == ("A", "B")
 
 
 # -- repository ----------------------------------------------------------------

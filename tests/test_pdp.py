@@ -1,5 +1,7 @@
 """Decision combination, conflict detection with witnesses, device translation."""
 import ast
+import dataclasses
+import inspect
 import random
 import sys
 import threading
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pbmkit import pdp
+from pbmkit import model, pdp
 from pbmkit.dsl import parse
 from pbmkit.model import (
     ActionSet,
@@ -46,7 +48,12 @@ from pbmkit.pdp import (
 from pbmkit.refiner import compile_strategy, enumerate_strategies
 
 from .generators import gen_actions, gen_catalogs_and_rules, gen_flow
-from .oracles import reference_decide, reference_detect_conflicts, sampled_conflict_pairs
+from .oracles import (
+    reference_condition_matches,
+    reference_decide,
+    reference_detect_conflicts,
+    sampled_conflict_pairs,
+)
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "unicauca.pbm"
 
@@ -578,8 +585,8 @@ def _witness_reproduces(conflict: Conflict, rules, catalogs) -> bool:
     by_id = {r.id: r for r in rules}
     a, b = by_id[conflict.rule_a], by_id[conflict.rule_b]
     w = conflict.witness
-    if not (condition_matches(a.condition, w, catalogs)
-            and condition_matches(b.condition, w, catalogs)):
+    if not (reference_condition_matches(a.condition, w, catalogs)
+            and reference_condition_matches(b.condition, w, catalogs)):
         return False
     pair = decide([a, b], w, catalogs)
     if conflict.kind is ConflictKind.ADMISSION:
@@ -676,15 +683,84 @@ def test_unknown_reference_raises_without_conflicting_actions():
 
 
 def test_referee_imports_only_public_pdp_names():
-    # the conflict referee keeps its own witness code: it may import pdp's
-    # public types, never its private helpers or the module as a whole
+    # the referee keeps its own witness and matching code: it may import
+    # pdp's public types and model's classes and constants, never a helper,
+    # a function or a module as a whole
     tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
     imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     names = [alias.name for node in imports if node.module == "pbmkit.pdp" for alias in node.names]
     assert names and all(not name.startswith("_") for name in names), names
+    from_model = [
+        alias.name for node in imports if node.module == "pbmkit.model" for alias in node.names
+    ]
+    assert from_model and not any(
+        name.startswith("_") or inspect.isfunction(getattr(model, name)) for name in from_model
+    ), from_model
     assert all(
-        alias.name != "pdp" for node in imports if node.module == "pbmkit" for alias in node.names
+        alias.name not in ("model", "pdp")
+        for node in imports
+        if node.module == "pbmkit"
+        for alias in node.names
     )
+    assert not any(
+        alias.name.startswith("pbmkit")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    )
+
+
+def test_no_package_module_calls_condition_matches():
+    # condition_matches is deprecated; the package decides from compiled spans
+    package = Path(pdp.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        callers = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and "condition_matches" in (getattr(node.func, name, None) for name in ("id", "attr"))
+        ]
+        assert callers == [], (path.name, callers)
+
+
+def test_deprecated_condition_matches_agrees_with_referee(campus):
+    doc, rules = campus
+    rng = random.Random(65)
+    cases = []
+    for tz in (-720, 0, 840):
+        cases.append((rules, dataclasses.replace(doc.catalogs, tz_offset_minutes=tz)))
+        for catalogs in (_edge_catalogs(tz), _witness_edge_catalogs(tz)):
+            cases.append((_edge_rules(rng, catalogs, 12), catalogs))
+    calls = matched = 0
+    with pytest.warns(DeprecationWarning) as record:
+        for case_rules, catalogs in cases:
+            for flow in _boundary_flows(rng, case_rules, catalogs, 30):
+                for rule in case_rules:
+                    expected = reference_condition_matches(rule.condition, flow, catalogs)
+                    assert condition_matches(rule.condition, flow, catalogs) is expected
+                    calls += 1
+                    matched += expected
+        # references resolve before any is tested, in the referee's order
+        catalogs = _edge_catalogs(0)
+        flow = _flow(src="10.1.2.3", dst="10.2.0.1", port=25)
+        for names, expected in [
+            (("no-s", "no-d", "no-svc", "no-t"), ("entity group", "no-s")),
+            (("extremes", "no-d", "any", "any"), ("entity group", "no-d")),
+            (("any", "any", "no-svc", "no-t"), ("service class", "no-svc")),
+            (("extremes", "any", "any", "no-t"), ("time class", "no-t")),
+        ]:
+            for match in (condition_matches, reference_condition_matches):
+                with pytest.raises(UnknownReferenceError) as info:
+                    match(Condition(*names), flow, catalogs)
+                assert (info.value.kind, info.value.name) == expected
+            calls += 1
+    assert matched >= 500 and calls - matched >= 500
+    assert len(record) == calls
+    for warning in record:
+        assert str(warning.message) == (
+            "condition_matches is deprecated; use compile_policy(rules, catalogs).decide"
+        )
+        assert warning.filename == __file__  # stacklevel=2 names the caller
 
 
 def test_unknown_reference_raises_dimension_by_dimension():

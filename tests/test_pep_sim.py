@@ -262,6 +262,42 @@ def test_read_trace_error_messages():
         assert info.value.line == 3
 
 
+# integer spellings int() reads that the trace format does not describe
+BAD_INTEGER_ROWS = [
+    ("+5,10.0.0.1,10.0.0.2,tcp,80,100", "line 3: invalid literal for int() with base 10: '+5'"),
+    ("1_0,10.0.0.1,10.0.0.2,tcp,80,100", "line 3: invalid literal for int() with base 10: '1_0'"),
+    ("-1_0,10.0.0.1,10.0.0.2,tcp,80,100", "line 3: invalid literal for int() with base 10: '-1_0'"),
+    ("5,10.0.0.1,10.0.0.2,tcp,+80,100", "line 3: invalid literal for int() with base 10: '+80'"),
+    ("5,10.0.0.1,10.0.0.2,tcp,8_0,100", "line 3: invalid literal for int() with base 10: '8_0'"),
+    ("5,10.0.0.1,10.0.0.2,tcp,\u0668\u0660,100",
+     "line 3: invalid literal for int() with base 10: '\u0668\u0660'"),
+    ("5,10.0.0.1,10.0.0.2,tcp,80,\uff11\uff10",
+     "line 3: invalid literal for int() with base 10: '\uff11\uff10'"),
+    ("+1_0,10.0.0.1,10.0.0.2,tcp,8_0,\u0661\u0660",
+     "line 3: invalid literal for int() with base 10: '8_0'"),
+]
+
+
+def test_read_trace_rejects_integer_spellings_outside_the_format():
+    header = "ts,src,dst,proto,port,demand_kbps"
+    for row, message in BAD_INTEGER_ROWS:
+        with pytest.raises(TraceError) as info:
+            read_trace([header, "1, 10.0.0.9 ,10.0.0.8,udp,53,10", row])
+        assert str(info.value) == message
+    # a leading minus stays: timestamps may be negative, and a negative port
+    # or demand keeps its range message
+    [flow] = read_trace([header, " -60 ,10.0.0.1,10.0.0.2,tcp, 007 ,5"])
+    assert (flow.timestamp, flow.port, flow.demand_kbps) == (-60, 7, 5)
+    for row, message in [
+        ("5,10.0.0.1,10.0.0.2,tcp,-1,100", "line 2: flow port out of range: -1"),
+        ("5,10.0.0.1,10.0.0.2,tcp,80,-5", "line 2: flow demand must be at least 1 kbps"),
+        ("-,10.0.0.1,10.0.0.2,tcp,80,5", "line 2: invalid literal for int() with base 10: '-'"),
+    ]:
+        with pytest.raises(TraceError) as info:
+            read_trace([header, row])
+        assert str(info.value) == message
+
+
 def test_read_trace_skips_blank_rows():
     header = "ts,src,dst,proto,port,demand_kbps"
     flows = read_trace([header, "", "5,10.0.0.1,10.0.0.2,tcp,80,9", ""])
