@@ -52,6 +52,7 @@ from .model import (
     ServiceMatcher,
     TimeClass,
     TimeWindow,
+    UnknownReferenceError,
     WILDCARD,
     day_runs,
     natural_key,
@@ -552,24 +553,23 @@ class _Parser:
                 self.fail(f"unknown goal {goal_id}", tok)
             if not graph.is_leaf(goal_id):
                 self.fail(f"goal {goal_id} is refined further and cannot be bound", tok)
-            self._check_refs(binding.condition, tok)
+            self._check_refs(catalogs, binding.condition, tok)
         for rule in self.rules:
             tok = self.def_token("rule", rule.id)
             if rule.based_on is not None and rule.based_on not in self.goals:
                 self.fail(f"unknown goal {rule.based_on}", tok)
-            self._check_refs(rule.condition, tok)
+            self._check_refs(catalogs, rule.condition, tok)
         rules = tuple(sorted(self.rules, key=lambda r: r.order))
         return Document(dict(self.meta), catalogs, graph, dict(self.bindings), rules)
 
-    def _check_refs(self, condition: Condition, tok: _Token) -> None:
-        if condition.source != WILDCARD and condition.source not in self.entities:
-            self.fail(f"unknown entity group {condition.source!r}", tok)
-        if condition.destination != WILDCARD and condition.destination not in self.entities:
-            self.fail(f"unknown entity group {condition.destination!r}", tok)
-        if condition.service != WILDCARD and condition.service not in self.services:
-            self.fail(f"unknown service class {condition.service!r}", tok)
-        if condition.time != WILDCARD and condition.time not in self.times:
-            self.fail(f"unknown time class {condition.time!r}", tok)
+    def _check_refs(self, catalogs: Catalogs, condition: Condition, tok: _Token) -> None:
+        try:
+            catalogs.entity_group(condition.source)
+            catalogs.entity_group(condition.destination)
+            catalogs.service_class(condition.service)
+            catalogs.time_class(condition.time)
+        except UnknownReferenceError as exc:
+            self.fail(str(exc), tok)
 
 
 def parse(text: str) -> Document:

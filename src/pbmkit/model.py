@@ -119,9 +119,6 @@ class GoalGraph:
     def is_leaf(self, goal_id: str) -> bool:
         return goal_id in self.goals and goal_id not in self.refinements
 
-    def leaves(self) -> list[str]:
-        return [gid for gid in self.goals if gid not in self.refinements]
-
 
 def validate_graph(graph: GoalGraph) -> list[str]:
     """Return all structural violations; an empty list means the graph is valid.
@@ -397,26 +394,33 @@ def read_address(text: str) -> IPv4Address:
     return IPv4Address(text)
 
 
+def read_int(text: str) -> int:
+    """int(text) for an optional '-' followed by ASCII digits.
+
+    Any other spelling, such as '+5', '1_0' or non-ASCII digits, raises the
+    ValueError that int() gives for text it cannot read.
+    """
+    unsigned = text.removeprefix("-")
+    if not (unsigned.isascii() and unsigned.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
+    return int(text)
+
+
 def flow_from_text(
     timestamp: str, src: str, dst: str, protocol: str, port: str, demand: str
 ) -> FlowDescriptor:
     """The flow six text fields describe, in trace column order.
 
     Raises ValueError on bad text, checking src, dst, port, timestamp and
-    demand in that order and then the FlowDescriptor invariants.  An
-    integer field is an optional '-' followed by ASCII digits; any other
-    spelling gets the message int() gives for text it cannot read.
+    demand in that order and then the FlowDescriptor invariants.  The
+    integer fields are read by read_int.
     """
     source, destination = read_address(src), read_address(dst)
     digits = port + timestamp + demand
-    if not (digits.isascii() and digits.isdigit()):
-        # one test of the three fields together keeps the common row cheap;
-        # an empty field passes it and fails in int() with the same message
-        for text in (port, timestamp, demand):
-            unsigned = text.removeprefix("-")
-            if not (unsigned.isascii() and unsigned.isdigit()):
-                raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
-    return FlowDescriptor(source, destination, protocol, int(port), int(timestamp), int(demand))
+    # one test of the three fields together keeps the common row cheap; an
+    # empty field passes it and fails in int() with read_int's message
+    read = int if digits.isascii() and digits.isdigit() else read_int
+    return FlowDescriptor(source, destination, protocol, read(port), read(timestamp), read(demand))
 
 
 _WILD_ENTITY = EntityGroup(WILDCARD, None)
@@ -469,12 +473,6 @@ def parse_tz_offset(text: str) -> int:
         raise ValueError(f"bad timezone offset {text!r}, expected +HH:MM or -HH:MM")
     minutes = int(m.group(2)) * 60 + int(m.group(3))
     return -minutes if m.group(1) == "-" else minutes
-
-
-def format_tz_offset(minutes: int) -> str:
-    sign = "-" if minutes < 0 else "+"
-    minutes = abs(minutes)
-    return f"{sign}{minutes // 60:02d}:{minutes % 60:02d}"
 
 
 # First Monday of the epoch; anchor for the weekly minute arithmetic of

@@ -11,13 +11,16 @@ byte 0x01, a kind byte, a big-endian 32-bit payload length, then the
 payload as sorted key=value lines.  A value escapes backslash as \\\\
 and newline as \\n; decoding resolves them with one regular-expression
 substitution and rejects any other escape, leftmost first.  PdpServer
-answers REQ frames with DEC decisions, acknowledges RPT usage reports,
-and pushes SYNC frames carrying the stored (canonical) document text,
-as verified against its checksum, whenever the repository gains a
-version; PepSession is the matching client.  A DEC frame carries the
-whole Decision: its bandwidth bounds, one per matched rule, are the only
-limits sent, and the client's Decision derives its effective limits from
-them, so it allocates exactly as local replay does.
+answers REQ frames with DEC decisions and acknowledges RPT usage reports;
+PepSession is the matching client.  A SYNC frame carries a version's
+stored (canonical) text, as verified against its checksum.  Each
+connection's serving thread is the only writer to its socket: a reply
+from a version the client has not been told about goes out in one write
+behind that version's SYNC, so every DEC comes from the version of the
+last SYNC the client received.  A DEC frame carries the whole Decision:
+its bandwidth bounds, one per matched rule, are the only limits sent,
+and the client's Decision derives its effective limits from them, so it
+allocates exactly as local replay does.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from enum import IntEnum
 from typing import Sequence
 
 from .dsl import Document, parse, serialize
-from .model import Admission, Bandwidth, FlowDescriptor, Scope, flow_from_text
+from .model import Admission, Bandwidth, FlowDescriptor, Scope, flow_from_text, read_int
 from .pdp import CompiledPolicy, Decision, DecisionFlag, RuleBound, compile_policy
 
 
@@ -228,7 +231,7 @@ def _bound_from_text(text: str) -> RuleBound:
     if len(parts) != 5:
         raise ValueError(f"bound {text!r} needs 5 parts, got {len(parts)}")
     rule_id, scope, low, high, priority = parts
-    low_kbps, high_kbps, prio = (None if v == "-" else int(v) for v in (low, high, priority))
+    low_kbps, high_kbps, prio = (None if v == "-" else read_int(v) for v in (low, high, priority))
     if prio is not None and not 1 <= prio <= 9:
         raise ValueError(f"bound priority must be in 1..9, got {prio}")
     return RuleBound(rule_id, Bandwidth(low_kbps, high_kbps, _SCOPE_BY_TAG[scope]), prio)
@@ -259,7 +262,8 @@ def decision_from_fields(fields: dict[str, str]) -> Decision:
         flag_set = frozenset(
             _FLAG_BY_NAME[name] for name in flags.split(",") if name != "-"
         ) if flags != "-" else frozenset()
-        # a local decision lists a rule once and gives it at most one bound
+        # a local decision lists a rule once and gives at most one bound,
+        # and only to a matched rule
         decoded: dict[str, RuleBound] = {}
         for entry in bounds.split(",") if bounds != "-" else ():
             bound = _bound_from_text(entry)
@@ -275,13 +279,17 @@ def decision_from_fields(fields: dict[str, str]) -> Decision:
             if rule_id in seen:
                 raise ValueError(f"matched repeats rule {rule_id!r}")
             seen.add(rule_id)
-        return Decision(
+        decision = Decision(
             matched=rule_ids,
             admission=Admission(admission),
-            priority=int(priority),
+            priority=read_int(priority),
             flags=flag_set,
             bounds=tuple(decoded.values()),
         )
+        for rule_id in decoded:
+            if rule_id not in seen:
+                raise ValueError(f"bound for unmatched rule {rule_id!r}")
+        return decision
     except (KeyError, ValueError) as exc:
         raise ProtocolError(f"bad decision payload: {exc}") from None
 
@@ -404,18 +412,24 @@ def repo_load(repo_dir: str, version: int) -> Document:
 class _Snapshot:
     version: int
     policy: CompiledPolicy
-    text: str
+    sync: bytes  # the encoded SYNC frame that announces this version
 
 
 class PdpServer:
     """Serves decisions over TCP from the newest repository version.
 
     The active rule snapshot is immutable; a background watcher polls the
-    manifest and swaps in new versions atomically, pushing SYNC frames to
-    every connected enforcement point.  In-flight requests finish against
-    the snapshot they started with.  A version that fails to load keeps
-    the current snapshot in service and is retried on every poll, with
-    one warning per failing version on this module's logger.
+    manifest and swaps in new versions atomically, and never writes to a
+    client.  Each connection has one thread, the only writer to its
+    socket.  It reads the snapshot once per frame and answers from it;
+    when that snapshot is not the one it last announced, the reply goes
+    out behind the snapshot's SYNC in the same write.  So a connection's
+    first reply follows the current SYNC, several versions between two
+    frames give one SYNC for the newest, a client that sends nothing gets
+    nothing, and one that never reads holds up only its own thread.  A
+    version that fails to load keeps the current snapshot in service and
+    is retried on every poll, with one warning per failing version on
+    this module's logger.
     """
 
     def __init__(
@@ -433,7 +447,7 @@ class PdpServer:
         self._snapshot: _Snapshot | None = None
         self._listener: socket.socket | None = None
         self._closing = threading.Event()
-        self._clients: dict[socket.socket, threading.Lock] = {}
+        self._clients: set[socket.socket] = set()
         self._clients_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
 
@@ -441,7 +455,8 @@ class PdpServer:
         # stored text is canonical already: serialize is a fixpoint
         text = _read_verified(self.repo_dir, version)
         doc = parse(text)
-        return _Snapshot(version, compile_policy(doc.rules, doc.catalogs), text)
+        sync = encode_message(Message(MessageKind.SYNC, {"doc": text, "version": str(version)}))
+        return _Snapshot(version, compile_policy(doc.rules, doc.catalogs), sync)
 
     def start(self) -> "PdpServer":
         entries = repo_log(self.repo_dir)
@@ -539,25 +554,11 @@ class PdpServer:
                     )
                 continue
             self._snapshot = snapshot
-            sync = encode_message(
-                Message(
-                    MessageKind.SYNC,
-                    {"doc": snapshot.text, "version": str(snapshot.version)},
-                )
-            )
-            with self._clients_lock:
-                clients = list(self._clients.items())
-            for sock, lock in clients:
-                try:
-                    with lock:
-                        sock.sendall(sync)
-                except OSError:
-                    continue
 
     def _serve_client(self, sock: socket.socket):
-        lock = threading.Lock()
         with self._clients_lock:
-            self._clients[sock] = lock
+            self._clients.add(sock)
+        sent = None  # the snapshot this client was last told about
         try:
             while not self._closing.is_set():
                 message = read_message(sock)
@@ -565,20 +566,20 @@ class PdpServer:
                     return
                 if message.kind is MessageKind.ACK:
                     continue  # enforcement point confirming a SYNC
+                snapshot = self._snapshot
                 if message.kind is MessageKind.REQUEST:
-                    flow = flow_from_fields(message.fields)
-                    snapshot = self._snapshot
-                    assert snapshot is not None
-                    decision = snapshot.policy.decide(flow)
-                    reply = Message(MessageKind.DECISION, decision_fields(decision))
+                    decision = snapshot.policy.decide(flow_from_fields(message.fields))
+                    reply = encode_message(Message(MessageKind.DECISION, decision_fields(decision)))
                 elif message.kind is MessageKind.REPORT:
-                    reply = Message(MessageKind.ACK, {})
+                    reply = encode_message(Message(MessageKind.ACK, {}))
                 else:
                     raise ProtocolError(f"unexpected {message.kind.name} frame")
-                with lock:
-                    sock.sendall(encode_message(reply))
+                if snapshot is not sent:
+                    reply = snapshot.sync + reply
+                    sent = snapshot
+                sock.sendall(reply)
         except ProtocolError as exc:
-            _send_error(sock, lock, str(exc))
+            _send_error(sock, str(exc))
         except OSError:
             pass
         except Exception as exc:
@@ -588,21 +589,20 @@ class PdpServer:
             logging.getLogger(__name__).error(
                 "internal error answering a client, closing the connection", exc_info=exc
             )
-            _send_error(sock, lock, f"internal error: {type(exc).__name__}")
+            _send_error(sock, f"internal error: {type(exc).__name__}")
         finally:
             with self._clients_lock:
-                self._clients.pop(sock, None)
+                self._clients.discard(sock)
             try:
                 sock.close()
             except OSError:
                 pass
 
 
-def _send_error(sock: socket.socket, lock: threading.Lock, reason: str) -> None:
+def _send_error(sock: socket.socket, reason: str) -> None:
     """Send an ERROR frame; the connection is closed next, so a failed send is moot."""
     try:
-        with lock:
-            sock.sendall(encode_message(Message(MessageKind.ERROR, {"reason": reason})))
+        sock.sendall(encode_message(Message(MessageKind.ERROR, {"reason": reason})))
     except OSError:
         pass
 
@@ -610,13 +610,18 @@ def _send_error(sock: socket.socket, lock: threading.Lock, reason: str) -> None:
 class PepSession:
     """Client side of the decision protocol.
 
-    Interleaved SYNC pushes are acknowledged transparently; the newest
-    synced document is kept on the session.  last_dec_payload holds the
-    raw payload bytes of the most recent DEC frame.
+    The socket is read only while a reply is awaited.  A SYNC that comes
+    ahead of the reply is acknowledged transparently, and the newest
+    synced version and document are kept on the session, so a decision
+    always comes from synced_version.  last_dec_payload holds the raw
+    payload bytes of the most recent DEC frame.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        # the ACK of a SYNC and the next REQUEST are two small writes in a
+        # row: Nagle's algorithm would hold the REQUEST for the delayed ACK
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.last_dec_payload: bytes | None = None
         self.synced_version: int | None = None
         self.synced_text: str | None = None
@@ -631,7 +636,7 @@ class PepSession:
                 fields = parse_payload(payload)
                 version, text = _require(fields, ("version", "doc"))
                 try:
-                    self.synced_version = int(version)
+                    self.synced_version = read_int(version)
                 except ValueError:
                     raise ProtocolError(f"bad sync version {version!r}") from None
                 self.synced_text = text

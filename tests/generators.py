@@ -127,7 +127,11 @@ def gen_catalogs_and_rules(
 
 
 def gen_decision(rng: random.Random) -> Decision:
-    """Random Decision; a drawn min/max becomes a leading per-connection bound R0."""
+    """Random Decision; a drawn min/max becomes a leading per-connection bound R0.
+
+    matched lists the rules its bounds name, as a local decision does; it
+    is derived without a draw from rng.
+    """
     if rng.random() < 0.15:
         return Decision(matched=(), admission=Admission.DENY, priority=rng.randint(1, 9))
     min_kbps = rng.randint(1, 800) if rng.random() < 0.6 else None
@@ -143,7 +147,8 @@ def gen_decision(rng: random.Random) -> Decision:
         if (bandwidth := gen_actions(rng).bandwidth) is not None
     )
     return Decision(
-        matched=(), admission=Admission.ALLOW, priority=rng.randint(1, 9), bounds=bounds
+        matched=tuple(b.rule_id for b in bounds), admission=Admission.ALLOW,
+        priority=rng.randint(1, 9), bounds=bounds,
     )
 
 

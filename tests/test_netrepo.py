@@ -1,10 +1,12 @@
 """Wire framing, field codecs, the versioned store, and the live service."""
 import builtins
 import dataclasses
+import functools
 import io
 import logging
 import random
 import socket
+import threading
 import time
 from ipaddress import IPv4Address
 from pathlib import Path
@@ -168,7 +170,9 @@ def test_decision_fields_round_trip():
     rng = random.Random(46)
     for _ in range(300):
         decision = gen_decision(rng)
-        decision = dataclasses.replace(decision, matched=("P1", "P2")[: rng.randrange(3)])
+        # matched may also name rules that carry no bound
+        extra = ("P1", "P2")[: rng.randrange(3)]
+        decision = dataclasses.replace(decision, matched=decision.matched + extra)
         fields = decision_fields(decision)
         assert set(fields) == {"admission", "bounds", "flags", "matched", "priority"}
         assert decision_from_fields(parse_payload(encode_payload(fields))) == decision
@@ -328,12 +332,74 @@ def test_decision_that_no_server_produces_is_rejected():
         ({"bounds": "A:agg:10:-:3,B:agg:5:-:-,A:agg:20:-:3"}, "two bounds for rule 'A'"),
         ({"bounds": "A:agg:10:-:3,A:agg:10:-:3"}, "repeated bound 'A:agg:10:-:3'"),
         ({"bounds": "A:agg:10:-:3,A:conn:20:-:3", "matched": "B,B"}, "two bounds for rule 'A'"),
+        # a bound belongs to a matched rule
+        ({"bounds": "Z:agg:10:-:3"}, "bound for unmatched rule 'Z'"),
+        ({"bounds": "A:agg:9:-:3,C:conn:5:-:-", "matched": "A,B"}, "bound for unmatched rule 'C'"),
+        ({"bounds": "A:agg:10:-:3", "matched": "-"}, "bound for unmatched rule 'A'"),
     ]:
         with pytest.raises(ProtocolError) as info:
             decision_from_fields({**allowed, **changes})
         assert str(info.value) == f"bad decision payload: {message}"
     fields = {**allowed, "matched": "A,B", "bounds": "A:agg:10:-:3,B:conn:20:-:-"}
     assert decision_from_fields(fields).matched == ("A", "B")
+
+
+# integer spellings int() reads that the DECISION format does not describe
+BAD_DECISION_INTEGERS = [
+    ({"priority": "+3"}, "'+3'"),
+    ({"priority": "0_3"}, "'0_3'"),
+    ({"priority": " 3"}, "' 3'"),
+    ({"priority": "3\n"}, "'3\\n'"),
+    ({"priority": "\u0663"}, "'\u0663'"),
+    ({"bounds": "A:agg:1_0:-:+3"}, "'1_0'"),
+    ({"bounds": "A:agg:10:-:+3"}, "'+3'"),
+    ({"bounds": "A:agg:+10:-:-"}, "'+10'"),
+    ({"bounds": "A:agg:-: 20:-"}, "' 20'"),
+    ({"bounds": "A:conn:\uff11\uff10:-:-"}, "'\uff11\uff10'"),
+]
+
+
+def test_decision_integers_are_ascii_digits():
+    allowed = {"admission": "allow", "bounds": "-", "flags": "-", "matched": "A", "priority": "3"}
+    for changes, literal in BAD_DECISION_INTEGERS:
+        with pytest.raises(ProtocolError) as info:
+            decision_from_fields({**allowed, **changes})
+        assert str(info.value) == (
+            f"bad decision payload: invalid literal for int() with base 10: {literal}"
+        )
+    # a minus still reads, and the range checks give their own messages
+    for changes, message in [
+        ({"priority": "-3"}, "decision priority must be in 1..9, got -3"),
+        ({"bounds": "A:agg:-5:-:-"}, "bandwidth bounds must be positive"),
+    ]:
+        with pytest.raises(ProtocolError) as info:
+            decision_from_fields({**allowed, **changes})
+        assert str(info.value) == f"bad decision payload: {message}"
+
+
+def test_sync_version_is_ascii_digits():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        host, port = listener.getsockname()
+        for version, error in [
+            ("+2", "bad sync version '+2'"),
+            ("2_0", "bad sync version '2_0'"),
+            (" 2", "bad sync version ' 2'"),
+            ("\u0662", "bad sync version '\u0662'"),
+            ("2", None),
+        ]:
+            with PepSession(host, port, timeout=5) as session:
+                server_side, _ = listener.accept()
+                with server_side:
+                    sync = Message(MessageKind.SYNC, {"doc": "d", "version": version})
+                    ack = Message(MessageKind.ACK, {})
+                    server_side.sendall(encode_message(sync) + encode_message(ack))
+                    if error is None:
+                        session.report(0, 1, 1)
+                        assert session.synced_version == 2
+                        continue
+                    with pytest.raises(ProtocolError) as info:
+                        session.report(0, 1, 1)
+                    assert str(info.value) == error
 
 
 # -- repository ----------------------------------------------------------------
@@ -496,6 +562,138 @@ def test_sync_pushed_on_new_version(tmp_path, campus_doc):
             assert session.synced_version == 2
             assert session.synced_text == serialize(compiled)
             assert session.synced_text == (tmp_path / "v0002.pbm").read_bytes().decode("utf-8")
+
+
+def _request_frame() -> bytes:
+    return encode_message(Message(MessageKind.REQUEST, flow_fields(_voip_flow())))
+
+
+def _wait_for_version(server, version, deadline=None):
+    deadline = deadline or time.monotonic() + 5.0
+    while server._snapshot.version < version:
+        if time.monotonic() > deadline:
+            pytest.fail(f"no version {version}: the server is at {server._snapshot.version}")
+        time.sleep(0.001)
+
+
+def test_first_reply_carries_the_current_sync(tmp_path, campus_doc):
+    repo_commit(str(tmp_path), campus_doc)
+    with PdpServer(str(tmp_path)) as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(_request_frame())
+            sync, reply = read_message(sock), read_message(sock)
+            assert sync.kind is MessageKind.SYNC
+            stored = (tmp_path / "v0001.pbm").read_bytes().decode("utf-8")
+            assert sync.fields == {"doc": stored, "version": "1"}
+            assert reply.kind is MessageKind.DECISION
+            sock.sendall(_request_frame())  # the client knows version 1 now
+            assert read_message(sock).kind is MessageKind.DECISION
+
+
+def test_commits_between_requests_give_one_sync(tmp_path, campus_doc):
+    repo = str(tmp_path)
+    repo_commit(repo, campus_doc)  # v1: no rules
+    with PdpServer(repo, poll_interval=0.02) as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(_request_frame())
+            assert [read_message(sock).kind for _ in range(2)] == [
+                MessageKind.SYNC, MessageKind.DECISION,
+            ]
+            repo_commit(repo, campus_doc)
+            _wait_for_version(server, 2)
+            repo_commit(repo, _compiled(campus_doc))  # v3: sixteen rules
+            _wait_for_version(server, 3)
+            sock.sendall(_request_frame())
+            sync, reply = read_message(sock), read_message(sock)
+            assert (sync.kind, sync.fields["version"]) == (MessageKind.SYNC, "3")
+            assert reply.kind is MessageKind.DECISION
+            assert decision_from_fields(reply.fields).matched == ("P4",)
+            sock.sendall(_request_frame())
+            assert read_message(sock).kind is MessageKind.DECISION
+
+
+@pytest.fixture()
+def padded(campus_doc, monkeypatch):
+    """The campus document padded to about 400 kB, so its SYNC fills buffers fast.
+
+    Every version a test commits stores this same text, so its checksum
+    and its parse, about 80 and 110 ms each, are computed once.
+    """
+    monkeypatch.setattr(netrepo, "checksum_hex", functools.lru_cache(2)(checksum_hex))
+    monkeypatch.setattr(netrepo, "parse", functools.lru_cache(2)(parse))
+    return dataclasses.replace(campus_doc, meta={**campus_doc.meta, "pad": "x" * 400_000})
+
+
+def test_idle_client_does_not_hold_back_new_versions(tmp_path, padded):
+    repo = str(tmp_path)
+    repo_commit(repo, padded)
+    with PdpServer(repo, poll_interval=0.002) as server, socket.socket() as idle:
+        idle.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        idle.connect(server.address)  # and never reads
+        deadline = time.monotonic() + 5.0
+        while not server._clients:
+            assert time.monotonic() < deadline, "the server never took the connection"
+            time.sleep(0.005)
+        for version in range(2, 22):
+            repo_commit(repo, padded)
+            _wait_for_version(server, version, deadline)
+        idle.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            idle.recv(1)  # a client that sends nothing receives nothing
+
+
+def test_no_decision_from_a_version_before_its_sync(tmp_path, campus_doc, monkeypatch):
+    repo = str(tmp_path)
+    repo_commit(repo, campus_doc)  # v1: no rules
+    building, release = threading.Event(), threading.Event()
+    encode = netrepo.encode_message
+
+    def held(message):
+        # hold version 2's SYNC frame until the test lets it go
+        if message.kind is MessageKind.SYNC and message.fields["version"] == "2":
+            building.set()
+            release.wait(5.0)
+        return encode(message)
+
+    with PdpServer(repo, poll_interval=0.02) as server, PepSession(*server.address) as session:
+        try:
+            assert session.request(_voip_flow()).matched == ()
+            monkeypatch.setattr(netrepo, "encode_message", held)
+            repo_commit(repo, _compiled(campus_doc))  # v2: sixteen rules
+            assert building.wait(5.0), "the server never built version 2's SYNC"
+            decision = session.request(_voip_flow())
+            # every decision comes from the version of the last SYNC received
+            assert session.synced_version == (2 if decision.matched == ("P4",) else 1)
+        finally:
+            release.set()
+        deadline = time.monotonic() + 5.0
+        while session.synced_version != 2:
+            assert time.monotonic() < deadline, "version 2 was never announced"
+            time.sleep(0.02)
+            decision = session.request(_voip_flow())
+            assert session.synced_version == (2 if decision.matched == ("P4",) else 1)
+
+
+def test_stop_returns_while_a_client_never_reads(tmp_path, padded):
+    repo = str(tmp_path)
+    repo_commit(repo, padded)
+    with PdpServer(repo, poll_interval=0.002) as server, socket.socket() as writer:
+        writer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        writer.connect(server.address)
+        writer.settimeout(0.1)
+        deadline = time.monotonic() + 4.0
+        for version in range(2, 14):
+            # about 5 MB of SYNC frames, one ahead of each reply, block the
+            # serving thread in its write
+            repo_commit(repo, padded)
+            _wait_for_version(server, version, deadline)
+            writer.sendall(_request_frame())
+        with pytest.raises(socket.timeout):
+            while time.monotonic() < deadline:
+                writer.sendall(_request_frame() * 64)  # until the server's buffer is full
+        stopping = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - stopping < 0.5
 
 
 def test_request_beyond_datetime_range_answered(tmp_path, campus_doc):
