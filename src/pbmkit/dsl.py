@@ -15,9 +15,11 @@ The text is read as tokens by one compiled pattern: words are runs of
 the ASCII characters A-Za-z0-9_.:+/-, strings are double-quoted and end
 on their own line (escapes: \\ \" \n), and { } , = stand alone.  Space,
 tab and CR separate tokens, '#' starts a comment that runs to the end of
-the line, and any other character is a ParseError.  Identifiers are runs
-of letters, digits, '-' and '_'; names containing other characters are
-written as quoted strings.  The three catalog statements (entity,
+the line, and any other character is a ParseError.  A token keeps only
+its character offset; a ParseError's line, column and source line are
+worked out from that offset when the error is raised.  Identifiers are
+runs of letters, digits, '-' and '_'; names containing other characters
+are written as quoted strings.  The three catalog statements (entity,
 service, time) share one reader: '= any' or a braced list of items.
 
 Day sets collapse consecutive days into runs ("mon-fri") and join
@@ -55,9 +57,9 @@ from .model import (
     UnknownReferenceError,
     WILDCARD,
     day_runs,
+    goal_cycles,
     natural_key,
     parse_tz_offset,
-    validate_graph,
 )
 
 RESERVED = frozenset(
@@ -116,72 +118,56 @@ class Document:
 class _Token(NamedTuple):
     kind: str  # word | string | { | } | , | = | eof
     text: str
-    line: int
-    column: int
+    offset: int  # of the token's first character in the document text
 
 
-# One alternative per token kind, tried in this order at each position.  A
-# string stops at its line's end; without its closing quote it is reported
-# as unterminated, after any unknown escape before that point.
+# Each match skips blanks, newlines and comments, then reads one token, tried
+# in this order.  A string stops at its line's end; without its closing quote
+# it is reported as unterminated, after any unknown escape before that point.
 _TOKEN = re.compile(
-    r"(?P<word>[A-Za-z0-9_.:+/-]+)"
-    r"|(?P<newline>\n)"
-    r"|(?P<skip>[ \t\r]+|#[^\n]*)"
-    r'|(?P<string>"(?:[^"\\\n]|\\.)*(?P<closed>")?)'
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:(?P<word>[A-Za-z0-9_.:+/-]+)"
+    r'|(?P<string>"(?:[^"\\\n]+|\\.)*(?P<closed>")?)'
     r"|(?P<punct>[{},=])"
-    r"|(?P<bad>.)"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))"
 )
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPED = {"n": "\n", '"': '"', "\\": "\\"}
 
 
-def _source_line(text: str, line: int) -> str:
-    return text.split("\n")[line - 1]
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at a character offset of text, with its line as the snippet."""
+    start = text.rfind("\n", 0, offset) + 1
+    end = text.find("\n", offset)
+    line = text.count("\n", 0, start) + 1
+    return ParseError(line, offset - start + 1, message, text[start : end if end >= 0 else None])
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "skip":
-            continue
-        column = m.start() - line_start + 1
-        if kind == "word":
-            tokens.append(_Token("word", m.group(), line, column))
-        elif kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "punct":
-            tokens.append(_Token(m.group(), m.group(), line, column))
-        elif kind == "string":
-            closed = m.group("closed") is not None
-            value = m.group()[1 : -1 if closed else None]
+        value, offset = m[kind], m.start(kind)
+        if kind == "string":
+            closed = m["closed"] is not None
+            value = value[1 : -1 if closed else None]
             if "\\" in value:
-                value = _decode(value, text, line, column)
+                for escape in _ESCAPE.finditer(value):
+                    if escape[1] not in _ESCAPED:
+                        raise _error(text, offset + escape.end(), f"unknown escape {escape[0]}")
+                value = _ESCAPE.sub(lambda escape: _ESCAPED[escape[1]], value)
             if not closed:
-                raise ParseError(line, column, "unterminated string", _source_line(text, line))
-            tokens.append(_Token("string", value, line, column))
-        else:
-            raise ParseError(
-                line, column, f"unexpected character {m.group()!r}", _source_line(text, line)
-            )
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+                raise _error(text, offset, "unterminated string")
+        elif kind == "punct":
+            kind = value
+        elif kind == "bad":
+            raise _error(text, offset, f"unexpected character {value!r}")
+        elif kind == "eof":
+            break  # after trailing blanks, \Z would match once more
+        tokens.append(_Token(kind, value, offset))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
-
-
-def _decode(value: str, text: str, line: int, column: int) -> str:
-    """Resolve the escapes of a string whose opening quote is at column."""
-
-    def resolve(escape: re.Match) -> str:
-        char = escape.group(1)
-        if char not in _ESCAPED:
-            raise ParseError(
-                line, column + escape.start() + 2, f"unknown escape \\{char}",
-                _source_line(text, line),
-            )
-        return _ESCAPED[char]
-
-    return _ESCAPE.sub(resolve, value)
 
 
 class _Parser:
@@ -214,7 +200,7 @@ class _Parser:
 
     def fail(self, message: str, token: _Token | None = None) -> NoReturn:
         tok = token if token is not None else self.peek()
-        raise ParseError(tok.line, tok.column, message, _source_line(self.text, tok.line))
+        raise _error(self.text, tok.offset, message)
 
     def expect(self, kind: str) -> _Token:
         tok = self.advance()
@@ -536,10 +522,9 @@ class _Parser:
                     self.fail(f"unknown goal {child}", tok)
             if parent in ref.children:
                 self.fail(f"goal {parent} cannot refine to itself", tok)
-        for violation in validate_graph(graph):
-            if violation.startswith("cycle through goals "):
-                first = violation[len("cycle through goals "):].split(", ")[0]
-                self.fail(violation, self.def_token("refinement", first))
+        for members in goal_cycles(graph):
+            first = self.def_token("refinement", members[0])
+            self.fail("cycle through goals " + ", ".join(members), first)
         tz = self.meta.get("tz")
         catalogs = Catalogs(
             dict(self.entities),

@@ -149,15 +149,18 @@ def validate_graph(graph: GoalGraph) -> list[str]:
                 )
         if ref.parent in ref.children:
             violations.append(f"refinement of {ref.parent!r}: parent appears among its children")
-    violations.extend(_find_cycles(graph))
+    violations.extend(
+        "cycle through goals " + ", ".join(members) for members in goal_cycles(graph)
+    )
     return violations
 
 
-def _find_cycles(graph: GoalGraph) -> list[str]:
-    # Iterative DFS over refinement edges; collects every distinct cycle once.
+def goal_cycles(graph: GoalGraph) -> list[list[str]]:
+    """Each distinct refinement cycle once, as its goal ids in natural order."""
+    # Iterative DFS over refinement edges.
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {gid: WHITE for gid in graph.goals}
-    cycles: list[str] = []
+    cycles: list[list[str]] = []
     seen_cycles: set[frozenset[str]] = set()
     for start in graph.goals:
         if color[start] != WHITE:
@@ -180,9 +183,7 @@ def _find_cycles(graph: GoalGraph) -> list[str]:
                     members = frozenset(path[path.index(child):])
                     if members not in seen_cycles:
                         seen_cycles.add(members)
-                        cycles.append(
-                            "cycle through goals " + ", ".join(sorted(members, key=natural_key))
-                        )
+                        cycles.append(sorted(members, key=natural_key))
                 elif color[child] == WHITE:
                     stack.append((child, 0))
             else:

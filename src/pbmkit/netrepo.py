@@ -332,6 +332,10 @@ def _manifest_path(repo_dir: str) -> str:
     return os.path.join(repo_dir, MANIFEST_NAME)
 
 
+def _version_file(version: int) -> str:
+    return f"v{version:04d}.pbm"
+
+
 def repo_log(repo_dir: str) -> list[RepoVersion]:
     """All committed versions in order; empty for a fresh directory."""
     path = _manifest_path(repo_dir)
@@ -349,13 +353,18 @@ def repo_log(repo_dir: str) -> list[RepoVersion]:
             if len(parts) != 4:
                 raise RepoError(f"manifest line {number}: expected 4 fields")
             try:
-                entry = RepoVersion(int(parts[0]), int(parts[1]), parts[2], parts[3])
+                entry = RepoVersion(read_int(parts[0]), read_int(parts[1]), parts[2], parts[3])
             except ValueError:
                 raise RepoError(f"manifest line {number}: bad numbers") from None
             expected = len(entries) + 1
             if entry.version != expected:
                 raise RepoError(
                     f"manifest line {number}: version {entry.version}, expected {expected}"
+                )
+            if entry.path != _version_file(expected):
+                raise RepoError(
+                    f"manifest line {number}: path {entry.path!r},"
+                    f" expected {_version_file(expected)!r}"
                 )
             entries.append(entry)
     return entries
@@ -365,7 +374,7 @@ def repo_commit(repo_dir: str, doc: Document) -> RepoVersion:
     """Store the canonical form of doc as the next version."""
     entries = repo_log(repo_dir)
     version = len(entries) + 1
-    filename = f"v{version:04d}.pbm"
+    filename = _version_file(version)
     target = os.path.join(repo_dir, filename)
     if os.path.exists(target):
         raise RepoError(f"refusing to overwrite {filename}")

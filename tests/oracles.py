@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from ipaddress import IPv4Address
+from typing import NamedTuple
 
-from pbmkit.dsl import ParseError, _Token
+from pbmkit.dsl import ParseError
 from pbmkit.model import (
     Admission,
     FlowDescriptor,
@@ -28,6 +29,13 @@ _WEEK_MINUTES = 7 * 1440
 
 
 # -- document tokens, one character at a time ---------------------------------
+
+class Token(NamedTuple):
+    kind: str  # word | string | { | } | , | = | eof
+    text: str
+    line: int  # 1-based
+    column: int  # 1-based
+
 
 _WORD_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.:+/-"
@@ -58,9 +66,9 @@ def _scan_string(raw: str, start: int, lineno: int) -> tuple[str, int]:
     raise ParseError(lineno, start + 1, "unterminated string", raw)
 
 
-def reference_tokenize(text: str) -> tuple[list[_Token], list[str]]:
+def reference_tokenize(text: str) -> tuple[list[Token], list[str]]:
     """Tokens of a policy document, scanned line by line and char by char."""
-    tokens: list[_Token] = []
+    tokens: list[Token] = []
     lines = text.split("\n")
     for lineno, raw in enumerate(lines, 1):
         i = 0
@@ -74,19 +82,19 @@ def reference_tokenize(text: str) -> tuple[list[_Token], list[str]]:
             col = i + 1
             if ch == '"':
                 value, i = _scan_string(raw, i, lineno)
-                tokens.append(_Token("string", value, lineno, col))
+                tokens.append(Token("string", value, lineno, col))
             elif ch in "{},=":
-                tokens.append(_Token(ch, ch, lineno, col))
+                tokens.append(Token(ch, ch, lineno, col))
                 i += 1
             elif ch in _WORD_CHARS:
                 j = i
                 while j < len(raw) and raw[j] in _WORD_CHARS:
                     j += 1
-                tokens.append(_Token("word", raw[i:j], lineno, col))
+                tokens.append(Token("word", raw[i:j], lineno, col))
                 i = j
             else:
                 raise ParseError(lineno, col, f"unexpected character {ch!r}", raw)
-    tokens.append(_Token("eof", "", len(lines), len(lines[-1]) + 1))
+    tokens.append(Token("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens, lines
 
 

@@ -1,4 +1,6 @@
 """Document text format: parsing, canonical serialization, error reporting."""
+import ast
+import bisect
 import collections
 import random
 from ipaddress import IPv4Network
@@ -150,10 +152,30 @@ def _lex(tokenize, text):
     return [tuple(tok) for tok in tokens]
 
 
+def _positioned_tokens(text):
+    """The package's tokens, each offset turned into a 1-based line and column."""
+    tokens = _tokenize(text)
+    line_starts = [0] + [i + 1 for i, char in enumerate(text) if char == "\n"]
+    positioned = []
+    for kind, value, offset in tokens:
+        line = bisect.bisect_right(line_starts, offset)
+        positioned.append((kind, value, line, offset - line_starts[line - 1] + 1))
+    return positioned
+
+
 def test_tokenizer_matches_reference_scanner():
     texts = [FIXTURE.read_text()]
     rng = random.Random(20261018)
     texts += [serialize(gen_document(rng)) for _ in range(50)]
+    # long literals, 1-100 kB: plain and escaped, closed and unterminated,
+    # and one whose only unknown escape sits near its end
+    texts += [
+        'meta a "x"\nmeta long "' + "x" * 1000 + '"\n',
+        'meta long "' + 'ab\\"c\\\\d\\n ' * 2000 + '" # tail\nmeta b "y"\n',
+        '\n\nmeta long "' + "y" * 50_000 + "\nmeta b \"y\"\n",
+        'meta long "' + "z\\\\" * 50_000 + "\n",
+        'meta a "x"\nmeta long "' + "w\\n" * 33_000 + 'w\\q\\n"\n',
+    ]
     # quotes and backslashes weigh more, so that strings and escapes are common
     alphabet = {'"': 6, "\\": 4, "n": 2, "q": 1, "#": 1, "{": 1, "}": 1, ",": 1, "=": 1,
                 "\r": 1, "\t": 1, "\n": 2, " ": 1, "$": 1, "\u00e9": 1, "\x0b": 1, "\u2028": 1}
@@ -164,10 +186,22 @@ def test_tokenizer_matches_reference_scanner():
     outcomes = collections.Counter()
     for text in texts:
         expected = _lex(lambda t: reference_tokenize(t)[0], text)
-        assert _lex(_tokenize, text) == expected, text
+        assert _lex(_positioned_tokens, text) == expected, text
         outcomes[expected[3].split(" ")[1] if expected[0] == "error" else "tokens"] += 1
     assert set(outcomes) == {"tokens", "character", "string", "escape"}
     assert min(outcomes.values()) > 1000
+
+
+def test_referee_imports_only_public_dsl_names():
+    # the referee keeps its own token type and positions: from dsl it may
+    # import public names only, and never the module as a whole
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    names = [alias.name for node in imports if node.module == "pbmkit.dsl" for alias in node.names]
+    assert names and not any(name.startswith("_") for name in names), names
+    assert all(
+        alias.name != "dsl" for node in imports if node.module == "pbmkit" for alias in node.names
+    )
 
 
 def test_rules_sorted_by_order():

@@ -27,6 +27,7 @@ from pbmkit.model import (
     UnknownReferenceError,
     condition_matches,
     day_runs,
+    goal_cycles,
     natural_key,
     parse_tz_offset,
     priority_band,
@@ -339,7 +340,8 @@ def test_validate_graph_reports_problems():
         ["a", "b"],
         {"a": ("and", ["b"]), "b": ("and", ["a"])},
     )
-    assert any(v.startswith("cycle through goals") for v in validate_graph(cycle))
+    assert goal_cycles(cycle) == [["a", "b"]]
+    assert "cycle through goals a, b" in validate_graph(cycle)
 
     level = GoalGraph({"g": Goal("g", 0)}, {})
     assert any("level" in v for v in validate_graph(level))

@@ -5,6 +5,7 @@ import functools
 import io
 import logging
 import random
+import re
 import socket
 import threading
 import time
@@ -473,15 +474,25 @@ def test_repo_commit_rejects_bad_read_back(tmp_path, campus_doc, monkeypatch):
 
 def test_manifest_validation(tmp_path):
     manifest = tmp_path / MANIFEST_NAME
-    manifest.write_text("1\t0\tdeadbeef\tv0001.pbm\n3\t0\tdeadbeef\tv0003.pbm\n")
-    with pytest.raises(RepoError, match="line 2: version 3, expected 2"):
-        repo_log(str(tmp_path))
-    manifest.write_text("1\t0\tdeadbeef\n")
-    with pytest.raises(RepoError, match="line 1: expected 4 fields"):
-        repo_log(str(tmp_path))
-    manifest.write_text("one\t0\tdeadbeef\tv0001.pbm\n")
-    with pytest.raises(RepoError, match="line 1: bad numbers"):
-        repo_log(str(tmp_path))
+    for text, message in [
+        ("1\t0\tdeadbeef\tv0001.pbm\n3\t0\tdeadbeef\tv0003.pbm\n",
+         "line 2: version 3, expected 2"),
+        ("1\t0\tdeadbeef\n", "line 1: expected 4 fields"),
+        ("one\t0\tdeadbeef\tv0001.pbm\n", "line 1: bad numbers"),
+        # numbers are an optional '-' and ASCII digits, as int() alone is not
+        ("+1\t0\tdeadbeef\tv0001.pbm\n", "line 1: bad numbers"),
+        (" 1\t+5\tdeadbeef\tv0001.pbm\n", "line 1: bad numbers"),
+        ("\u0661\t0\tdeadbeef\tv0001.pbm\n", "line 1: bad numbers"),
+        ("1\t1_0\tdeadbeef\tv0001.pbm\n", "line 1: bad numbers"),
+        # a version names its own file, never another path
+        ("1\t0\tdeadbeef\tv0002.pbm\n", "line 1: path 'v0002.pbm', expected 'v0001.pbm'"),
+        ("1\t0\tdeadbeef\tv0001.pbm\n2\t0\tdeadbeef\t/etc/hostname\n",
+         "line 2: path '/etc/hostname', expected 'v0002.pbm'"),
+        ("1\t0\tdeadbeef\t../v0001.pbm\n", "line 1: path '../v0001.pbm', expected 'v0001.pbm'"),
+    ]:
+        manifest.write_text(text, encoding="utf-8")
+        with pytest.raises(RepoError, match=re.escape(message)):
+            repo_log(str(tmp_path))
 
 
 # -- live service ----------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Time flow decisions and conflict detection against rule count.
 
-For seeded generated policies of 16, 64, 256 and 1024 rules, prints
-microseconds per call of the one-shot pdp.decide (which compiles the
-rules for every flow), of pdp.compile_policy (ten calls per pass), and of
+For seeded generated policies of 16, 64, 256, 1024, 2048 and 4096 rules,
+prints microseconds per call of the one-shot pdp.decide (which compiles
+the rules for every flow, so it is timed up to 1024 rules and printed as
+'-' above), of pdp.compile_policy (ten calls per pass), and of
 CompiledPolicy.decide over a fixed flow set (its per-match-set memo
 starts empty), and milliseconds per call of pdp.detect_conflicts (one
-call per pass).  Each figure is the best of three timed passes.  The
-one-shot decisions are checked against the compiled ones.  Stdlib only:
+call per pass).  Each figure is the best of three timed passes.  Where
+timed, the one-shot decisions are checked against the compiled ones.
+Stdlib only:
 
     python3 tools/decide_sweep.py
 """
@@ -39,9 +41,10 @@ from pbmkit.model import (  # noqa: E402
 from pbmkit.pdp import compile_policy, decide, detect_conflicts  # noqa: E402
 
 SEED = 7
-RULE_COUNTS = (16, 64, 256, 1024)
+RULE_COUNTS = (16, 64, 256, 1024, 2048, 4096)
 FLOWS = 2000
 ONE_SHOT_FLOWS = 100
+ONE_SHOT_MAX_RULES = 1024
 COMPILES = 10
 PASSES = 3
 
@@ -149,8 +152,13 @@ def main() -> None:
         rng = random.Random(SEED * 100003 + count)
         rules, catalogs = _policy(rng, count)
         flows = _flows(rng, catalogs)
-        sample = flows[:ONE_SHOT_FLOWS]
-        one_shot = _best_us(lambda: [decide(rules, f, catalogs) for f in sample], len(sample))
+        sample = flows[:ONE_SHOT_FLOWS] if count <= ONE_SHOT_MAX_RULES else []
+        one_shot = "-"
+        if sample:
+            one_shot_us = _best_us(
+                lambda: [decide(rules, f, catalogs) for f in sample], len(sample)
+            )
+            one_shot = f"{one_shot_us:.1f}"
         compile_us = _best_us(
             lambda: [compile_policy(rules, catalogs) for _ in range(COMPILES)], COMPILES
         )
@@ -163,7 +171,7 @@ def main() -> None:
                 raise SystemExit(f"one-shot and compiled decisions differ for {flow}")
         match_sets = len({d.matched for d in decisions})
         conflicts_ms = _best_us(lambda: detect_conflicts(rules, catalogs), 1) / 1000
-        print(f"{count:6d} {match_sets:10d} {one_shot:15.1f} {compile_us:18.1f} {compiled:17.2f}"
+        print(f"{count:6d} {match_sets:10d} {one_shot:>15} {compile_us:18.1f} {compiled:17.2f}"
               f" {conflicts_ms:13.1f}")
 
 
