@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from ipaddress import IPv4Network
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .model import (
     ActionSet,
@@ -115,10 +115,10 @@ class Document:
     rules: tuple[PolicyRule, ...] = ()
 
 
-class _Token(NamedTuple):
-    kind: str  # word | string | { | } | , | = | eof
-    text: str
-    offset: int  # of the token's first character in the document text
+# A token is a plain tuple (kind, text, offset): kind is word | string | eof
+# or the punctuation character itself, and offset is that of the token's
+# first character in the document text.
+_Tok = tuple[str, str, int]
 
 
 # Each match skips blanks, newlines and comments, then reads one token, tried
@@ -144,8 +144,8 @@ def _error(text: str, offset: int, message: str) -> ParseError:
     return ParseError(line, offset - start + 1, message, text[start : end if end >= 0 else None])
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[_Tok]:
+    tokens: list[_Tok] = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         value, offset = m[kind], m.start(kind)
@@ -165,8 +165,8 @@ def _tokenize(text: str) -> list[_Token]:
             raise _error(text, offset, f"unexpected character {value!r}")
         elif kind == "eof":
             break  # after trailing blanks, \Z would match once more
-        tokens.append(_Token(kind, value, offset))
-    tokens.append(_Token("eof", "", len(text)))
+        tokens.append((kind, value, offset))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -185,87 +185,93 @@ class _Parser:
         self.rules: list[PolicyRule] = []
         self.orders: set[int] = set()
         # first token of each definition, for semantic error positions
-        self.def_tokens: dict[tuple[str, str], _Token] = {}
+        self.def_tokens: dict[tuple[str, str], _Tok] = {}
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> _Token:
+    def peek(self) -> _Tok:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> _Tok:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def fail(self, message: str, token: _Token | None = None) -> NoReturn:
+    def fail(self, message: str, token: _Tok | None = None) -> NoReturn:
         tok = token if token is not None else self.peek()
-        raise _error(self.text, tok.offset, message)
+        raise _error(self.text, tok[2], message)
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> _Tok:
         tok = self.advance()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, got {tok.text!r}", tok)
+        if tok[0] != kind:
+            self.fail(f"expected {kind!r}, got {tok[1]!r}", tok)
         return tok
 
-    def expect_word(self, value: str) -> _Token:
+    def expect_word(self, value: str) -> _Tok:
         tok = self.advance()
-        if tok.kind != "word" or tok.text != value:
-            self.fail(f"expected {value!r}, got {tok.text!r}", tok)
+        if tok[0] != "word" or tok[1] != value:
+            self.fail(f"expected {value!r}, got {tok[1]!r}", tok)
         return tok
 
-    def take_word(self, what: str) -> _Token:
+    def take_word(self, what: str) -> _Tok:
         tok = self.advance()
-        if tok.kind != "word":
-            self.fail(f"expected {what}, got {tok.text!r}", tok)
+        if tok[0] != "word":
+            self.fail(f"expected {what}, got {tok[1]!r}", tok)
         return tok
 
     def take_int(self, what: str) -> int:
         tok = self.advance()
-        if tok.kind != "word" or not _INT.fullmatch(tok.text):
-            self.fail(f"expected {what}, got {tok.text!r}", tok)
-        return int(tok.text)
+        if tok[0] != "word" or not _INT.fullmatch(tok[1]):
+            self.fail(f"expected {what}, got {tok[1]!r}", tok)
+        return int(tok[1])
 
-    def take_ident(self, what: str) -> _Token:
+    def take_ident(self, what: str) -> _Tok:
         tok = self.advance()
-        if tok.kind != "word" or not _IDENT.fullmatch(tok.text):
-            self.fail(f"expected {what}, got {tok.text!r}", tok)
-        if tok.text in RESERVED:
-            self.fail(f"{tok.text!r} is a reserved word", tok)
+        kind, text, _ = tok
+        if kind != "word" or not _IDENT.fullmatch(text):
+            self.fail(f"expected {what}, got {text!r}", tok)
+        if text in RESERVED:
+            self.fail(f"{text!r} is a reserved word", tok)
         return tok
 
-    def take_name(self, what: str) -> _Token:
+    def take_name(self, what: str) -> _Tok:
         """A catalog entry name: bare identifier or quoted string."""
         tok = self.advance()
-        if tok.kind == "string":
-            if not tok.text:
+        kind, text, _ = tok
+        if kind == "string":
+            if not text:
                 self.fail(f"{what} must be non-empty", tok)
             return tok
-        if tok.kind == "word":
-            if tok.text in RESERVED:
-                self.fail(f"{tok.text!r} is a reserved word", tok)
+        if kind == "word":
+            if text in RESERVED:
+                self.fail(f"{text!r} is a reserved word", tok)
             return tok
-        self.fail(f"expected {what}, got {tok.text!r}", tok)
+        self.fail(f"expected {what}, got {text!r}", tok)
 
     def take_ref(self, what: str) -> str:
         """A condition reference: a name or the wildcard keyword 'any'."""
         tok = self.advance()
-        if tok.kind == "string":
-            return tok.text
-        if tok.kind == "word":
-            if tok.text == WILDCARD:
+        kind, text, _ = tok
+        if kind == "string":
+            return text
+        if kind == "word":
+            if text == WILDCARD:
                 return WILDCARD
-            if tok.text in RESERVED:
-                self.fail(f"{tok.text!r} is a reserved word", tok)
-            return tok.text
-        self.fail(f"expected {what}, got {tok.text!r}", tok)
+            if text in RESERVED:
+                self.fail(f"{text!r} is a reserved word", tok)
+            return text
+        self.fail(f"expected {what}, got {text!r}", tok)
 
-    def record_def(self, kind: str, key: str, token: _Token) -> None:
+    def record_def(self, kind: str, token: _Tok) -> str:
+        """Note where a definition starts; returns its key, the token's text."""
+        key = token[1]
         if (kind, key) in self.def_tokens:
             self.fail(f"duplicate {kind} {key!r}", token)
         self.def_tokens[(kind, key)] = token
+        return key
 
-    def def_token(self, kind: str, key: str) -> _Token:
+    def def_token(self, kind: str, key: str) -> _Tok:
         return self.def_tokens[(kind, key)]
 
     # -- statements ---------------------------------------------------------
@@ -286,14 +292,14 @@ class _Parser:
             "rule": self.parse_rule,
         }
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            kind, text, _ = self.peek()
+            if kind == "eof":
                 break
-            if tok.kind != "word":
-                self.fail(f"expected a statement keyword, got {tok.text!r}")
-            handler = statements.get(tok.text)
+            if kind != "word":
+                self.fail(f"expected a statement keyword, got {text!r}")
+            handler = statements.get(text)
             if handler is None:
-                self.fail(f"unknown keyword {tok.text!r}")
+                self.fail(f"unknown keyword {text!r}")
             handler()
         return self.assemble()
 
@@ -301,25 +307,24 @@ class _Parser:
         self.advance()
         key_tok = self.take_ident("meta key")
         value_tok = self.expect("string")
-        self.record_def("meta key", key_tok.text, key_tok)
-        if key_tok.text == "tz":
+        key = self.record_def("meta key", key_tok)
+        if key == "tz":
             try:
-                parse_tz_offset(value_tok.text)
+                parse_tz_offset(value_tok[1])
             except ValueError as exc:
                 self.fail(str(exc), value_tok)
-        self.meta[key_tok.text] = value_tok.text
+        self.meta[key] = value_tok[1]
 
     def parse_catalog(self, kind: str, table: dict, entry_type: type, item) -> None:
         """`<keyword> <name> = any` or `<keyword> <name> { item, item }`."""
         self.advance()
-        name_tok = self.take_name(f"{kind} name")
-        self.record_def(kind, name_tok.text, name_tok)
-        if self.peek().kind == "=":
+        name = self.record_def(kind, self.take_name(f"{kind} name"))
+        if self.peek()[0] == "=":
             self.advance()
             self.expect_word(WILDCARD)
-            table[name_tok.text] = entry_type(name_tok.text, None)
+            table[name] = entry_type(name, None)
         else:
-            table[name_tok.text] = entry_type(name_tok.text, frozenset(self._block(item)))
+            table[name] = entry_type(name, frozenset(self._block(item)))
 
     def _block(self, item) -> list:
         """The items of a '{ item, item }' block, each read by item()."""
@@ -328,39 +333,40 @@ class _Parser:
         while True:
             items.append(item())
             tok = self.advance()
-            if tok.kind == "}":
+            if tok[0] == "}":
                 return items
-            if tok.kind != ",":
-                self.fail(f"expected ',' or '}}', got {tok.text!r}", tok)
+            if tok[0] != ",":
+                self.fail(f"expected ',' or '}}', got {tok[1]!r}", tok)
 
     def _address(self) -> IPv4Network:
         tok = self.take_word("address")
         try:
-            return IPv4Network(tok.text)
+            return IPv4Network(tok[1])
         except ValueError as exc:
-            self.fail(f"bad address {tok.text!r}: {exc}", tok)
+            self.fail(f"bad address {tok[1]!r}: {exc}", tok)
 
     def _matcher(self) -> ServiceMatcher:
         proto_tok = self.advance()
-        if proto_tok.kind != "word" or proto_tok.text not in ("tcp", "udp", "any"):
-            self.fail(f"expected tcp, udp or any, got {proto_tok.text!r}", proto_tok)
+        kind, proto, _ = proto_tok
+        if kind != "word" or proto not in ("tcp", "udp", "any"):
+            self.fail(f"expected tcp, udp or any, got {proto!r}", proto_tok)
         port_tok = self.advance()
-        m = port_tok.kind == "word" and _PORT_SPEC.fullmatch(port_tok.text)
+        m = port_tok[0] == "word" and _PORT_SPEC.fullmatch(port_tok[1])
         if not m:
-            self.fail(f"expected a port or port range, got {port_tok.text!r}", port_tok)
+            self.fail(f"expected a port or port range, got {port_tok[1]!r}", port_tok)
         low = int(m.group(1))
         high = int(m.group(2)) if m.group(2) else low
         try:
-            return ServiceMatcher(proto_tok.text, low, high)
+            return ServiceMatcher(proto, low, high)
         except ValueError as exc:
             self.fail(str(exc), port_tok)
 
     def _window(self) -> TimeWindow:
         days = self._parse_dayspec()
         range_tok = self.advance()
-        m = range_tok.kind == "word" and _TIME_RANGE.fullmatch(range_tok.text)
+        m = range_tok[0] == "word" and _TIME_RANGE.fullmatch(range_tok[1])
         if not m:
-            self.fail(f"expected HH:MM-HH:MM, got {range_tok.text!r}", range_tok)
+            self.fail(f"expected HH:MM-HH:MM, got {range_tok[1]!r}", range_tok)
         start = int(m.group(1)) * 60 + int(m.group(2))
         end = int(m.group(3)) * 60 + int(m.group(4))
         try:
@@ -371,7 +377,7 @@ class _Parser:
     def _parse_dayspec(self) -> frozenset[int]:
         tok = self.take_word("days")
         days: set[int] = set()
-        for part in tok.text.split("+"):
+        for part in tok[1].split("+"):
             if "-" in part:
                 first, _, last = part.partition("-")
                 if first not in DAY_NAMES or last not in DAY_NAMES:
@@ -388,45 +394,38 @@ class _Parser:
 
     def parse_goal(self) -> None:
         self.advance()
-        id_tok = self.take_ident("goal id")
-        self.record_def("goal", id_tok.text, id_tok)
+        goal_id = self.record_def("goal", self.take_ident("goal id"))
         self.expect_word("level")
         level_tok = self.peek()
         level = self.take_int("goal level")
         if level < 1:
             self.fail("goal level must be >= 1", level_tok)
-        desc = self.expect("string")
-        self.goals[id_tok.text] = Goal(id_tok.text, level, desc.text)
+        description = self.expect("string")[1]
+        self.goals[goal_id] = Goal(goal_id, level, description)
 
     def parse_refine(self) -> None:
         self.advance()
-        parent_tok = self.take_ident("goal id")
-        self.record_def("refinement", parent_tok.text, parent_tok)
+        parent = self.record_def("refinement", self.take_ident("goal id"))
         mode_tok = self.advance()
-        if mode_tok.kind != "word" or mode_tok.text not in ("and", "or"):
-            self.fail(f"expected 'and' or 'or', got {mode_tok.text!r}", mode_tok)
-        children = tuple(self._block(lambda: self.take_word("goal id").text))
-        self.refinements[parent_tok.text] = Refinement(
-            parent_tok.text, RefinementMode(mode_tok.text), children
-        )
+        kind, mode, _ = mode_tok
+        if kind != "word" or mode not in ("and", "or"):
+            self.fail(f"expected 'and' or 'or', got {mode!r}", mode_tok)
+        children = tuple(self._block(lambda: self.take_word("goal id")[1]))
+        self.refinements[parent] = Refinement(parent, RefinementMode(mode), children)
 
     def parse_bind(self) -> None:
         self.advance()
-        goal_tok = self.take_ident("goal id")
-        self.record_def("binding", goal_tok.text, goal_tok)
+        goal_id = self.record_def("binding", self.take_ident("goal id"))
         subject, target, condition, actions = self._parse_body()
-        self.bindings[goal_tok.text] = Binding(
-            goal_tok.text, subject, target, condition, actions
-        )
+        self.bindings[goal_id] = Binding(goal_id, subject, target, condition, actions)
 
     def parse_rule(self) -> None:
         self.advance()
-        id_tok = self.take_ident("rule id")
-        self.record_def("rule", id_tok.text, id_tok)
+        rule_id = self.record_def("rule", self.take_ident("rule id"))
         based_on = None
-        if self.peek().kind == "word" and self.peek().text == "from":
+        if self.peek()[:2] == ("word", "from"):
             self.advance()
-            based_on = self.take_ident("goal id").text
+            based_on = self.take_ident("goal id")[1]
         self.expect_word("order")
         order_tok = self.peek()
         order = self.take_int("rule order")
@@ -435,15 +434,15 @@ class _Parser:
         self.orders.add(order)
         subject, target, condition, actions = self._parse_body()
         self.rules.append(
-            PolicyRule(id_tok.text, subject, target, condition, actions, order, based_on)
+            PolicyRule(rule_id, subject, target, condition, actions, order, based_on)
         )
 
     def _parse_body(self) -> tuple[str, str, Condition, ActionSet]:
         self.expect("{")
         self.expect_word("subject")
-        subject = self.take_name("subject name").text
+        subject = self.take_name("subject name")[1]
         self.expect_word("target")
-        target = self.take_name("target name").text
+        target = self.take_name("target name")[1]
         self.expect_word("if")
         self.expect_word("source")
         source = self.take_ref("entity group")
@@ -458,15 +457,15 @@ class _Parser:
         self.expect("}")
         return subject, target, Condition(source, destination, service, time_ref), actions
 
-    def _parse_actions(self, then_tok: _Token) -> ActionSet:
+    def _parse_actions(self, then_tok: _Tok) -> ActionSet:
         admission: Admission | None = None
         min_kbps: int | None = None
         max_kbps: int | None = None
         scope: Scope | None = None
         priority: int | None = None
-        while self.peek().kind == "word":
+        while self.peek()[0] == "word":
             tok = self.advance()
-            word = tok.text
+            word = tok[1]
             if word in ("allow", "deny"):
                 if admission is not None:
                     self.fail("duplicate admission action", tok)
@@ -478,9 +477,10 @@ class _Parser:
                     self.fail(f"duplicate {word} bound", tok)
                 value = self.take_int(f"{word} bandwidth value")
                 unit_tok = self.advance()
-                if unit_tok.kind != "word" or unit_tok.text not in ("kbps", "mbps"):
-                    self.fail(f"expected kbps or mbps, got {unit_tok.text!r}", unit_tok)
-                if unit_tok.text == "mbps":
+                kind, unit, _ = unit_tok
+                if kind != "word" or unit not in ("kbps", "mbps"):
+                    self.fail(f"expected kbps or mbps, got {unit!r}", unit_tok)
+                if unit == "mbps":
                     value *= 1000
                 if word == "min":
                     min_kbps = value
@@ -547,7 +547,7 @@ class _Parser:
         rules = tuple(sorted(self.rules, key=lambda r: r.order))
         return Document(dict(self.meta), catalogs, graph, dict(self.bindings), rules)
 
-    def _check_refs(self, catalogs: Catalogs, condition: Condition, tok: _Token) -> None:
+    def _check_refs(self, catalogs: Catalogs, condition: Condition, tok: _Tok) -> None:
         try:
             catalogs.entity_group(condition.source)
             catalogs.entity_group(condition.destination)

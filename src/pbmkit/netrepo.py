@@ -2,9 +2,11 @@
 
 The repository is a directory holding canonical documents as vNNNN.pbm
 files plus a `manifest` whose tab-separated lines record version number,
-creation time, FNV-1a checksum, and filename.  Versions only ever grow
-and committed files are never rewritten; every load verifies the
-checksum before parsing.
+creation time, checksum, and filename.  New versions store a CRC-32
+checksum as `crc32:` and 8 hex digits; a 16-hex-digit entry, as earlier
+releases wrote, is a 64-bit FNV-1a checksum and still verifies.
+Versions only ever grow and committed files are never rewritten; every
+load verifies the checksum before parsing.
 
 The wire protocol frames text payloads over TCP: magic "PB", version
 byte 0x01, a kind byte, a big-endian 32-bit payload length, then the
@@ -30,6 +32,7 @@ import socket
 import struct
 import threading
 import time
+import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -55,6 +58,7 @@ _FNV_MASK = (1 << 64) - 1
 
 
 def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a; verifies manifest entries written by earlier releases."""
     value = _FNV_OFFSET
     for byte in data:
         value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
@@ -62,7 +66,12 @@ def fnv1a64(data: bytes) -> int:
 
 
 def checksum_hex(data: bytes) -> str:
-    return format(fnv1a64(data), "016x")
+    """The manifest checksum of new versions: CRC-32 (zlib), as crc32:<8 hex>."""
+    return f"crc32:{zlib.crc32(data):08x}"
+
+
+# the manifest's checksum field: this form, or 16 hex digits of FNV-1a
+_CHECKSUM = re.compile(r"crc32:[0-9a-f]{8}|[0-9a-f]{16}")
 
 
 # -- framing -------------------------------------------------------------------
@@ -344,8 +353,12 @@ def repo_log(repo_dir: str) -> list[RepoVersion]:
             raise RepoError(f"not a directory: {repo_dir}")
         return []
     entries: list[RepoVersion] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")  # each byte that is not UTF-8 became a lone surrogate
+            except UnicodeEncodeError:
+                raise RepoError(f"manifest line {number}: not UTF-8") from None
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -356,6 +369,8 @@ def repo_log(repo_dir: str) -> list[RepoVersion]:
                 entry = RepoVersion(read_int(parts[0]), read_int(parts[1]), parts[2], parts[3])
             except ValueError:
                 raise RepoError(f"manifest line {number}: bad numbers") from None
+            if not _CHECKSUM.fullmatch(entry.checksum):
+                raise RepoError(f"manifest line {number}: bad checksum")
             expected = len(entries) + 1
             if entry.version != expected:
                 raise RepoError(
@@ -404,9 +419,16 @@ def _read_verified(repo_dir: str, version: int) -> str:
             data = handle.read()
     except OSError as exc:
         raise RepoError(f"cannot read {entry.path}: {exc}") from None
-    if checksum_hex(data) != entry.checksum:
+    if entry.checksum.startswith("crc32:"):
+        actual = checksum_hex(data)
+    else:
+        actual = format(fnv1a64(data), "016x")
+    if actual != entry.checksum:
         raise RepoError(f"checksum mismatch for {entry.path}")
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise RepoError(f"cannot decode {entry.path}") from None
 
 
 def repo_load(repo_dir: str, version: int) -> Document:

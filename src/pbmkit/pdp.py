@@ -465,14 +465,23 @@ def _render_addresses(group: EntityGroup) -> str:
     return ",".join(str(net) for net in ordered)
 
 
+def _render_ports(matchers) -> str:
+    spans = sorted({(m.low, m.high) for m in matchers})
+    return ",".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in spans)
+
+
 def _render_service(svc: ServiceClass) -> tuple[str, str]:
+    """proto and ports fields; protocols with different ports go per protocol."""
     if svc.matchers is None:
         return "any", "any"
     protocols = {m.protocol for m in svc.matchers}
-    proto = protocols.pop() if len(protocols) == 1 else "any"
-    spans = sorted({(m.low, m.high) for m in svc.matchers})
-    ports = ",".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in spans)
-    return proto, ports
+    if len(protocols) == 1:
+        return protocols.pop(), _render_ports(svc.matchers)
+    tcp, udp = (
+        _render_ports(m for m in svc.matchers if m.protocol in ("any", proto))
+        for proto in ("tcp", "udp")
+    )
+    return ("any", tcp) if tcp == udp else ("mixed", f"tcp:{tcp};udp:{udp}")
 
 
 def _render_time(tc: TimeClass) -> str:

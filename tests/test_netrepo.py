@@ -1,7 +1,6 @@
 """Wire framing, field codecs, the versioned store, and the live service."""
 import builtins
 import dataclasses
-import functools
 import io
 import logging
 import random
@@ -58,8 +57,14 @@ def test_fnv1a64_known_vectors():
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
-    assert checksum_hex(b"foobar") == "85944171f73967e8"
-    assert len(checksum_hex(b"")) == 16
+
+
+def test_checksum_hex_known_vectors():
+    # CRC-32 as in zlib, gzip and PNG; "123456789" is its standard check value
+    assert checksum_hex(b"") == "crc32:00000000"
+    assert checksum_hex(b"a") == "crc32:e8b7be43"
+    assert checksum_hex(b"foobar") == "crc32:9ef61f95"
+    assert checksum_hex(b"123456789") == "crc32:cbf43926"
 
 
 # -- framing ---------------------------------------------------------------------
@@ -475,24 +480,78 @@ def test_repo_commit_rejects_bad_read_back(tmp_path, campus_doc, monkeypatch):
 def test_manifest_validation(tmp_path):
     manifest = tmp_path / MANIFEST_NAME
     for text, message in [
-        ("1\t0\tdeadbeef\tv0001.pbm\n3\t0\tdeadbeef\tv0003.pbm\n",
+        ("1\t0\tcrc32:deadbeef\tv0001.pbm\n3\t0\tcrc32:deadbeef\tv0003.pbm\n",
          "line 2: version 3, expected 2"),
-        ("1\t0\tdeadbeef\n", "line 1: expected 4 fields"),
-        ("one\t0\tdeadbeef\tv0001.pbm\n", "line 1: bad numbers"),
+        ("1\t0\tcrc32:deadbeef\n", "line 1: expected 4 fields"),
+        ("one\t0\tcrc32:deadbeef\tv0001.pbm\n", "line 1: bad numbers"),
         # numbers are an optional '-' and ASCII digits, as int() alone is not
-        ("+1\t0\tdeadbeef\tv0001.pbm\n", "line 1: bad numbers"),
-        (" 1\t+5\tdeadbeef\tv0001.pbm\n", "line 1: bad numbers"),
-        ("\u0661\t0\tdeadbeef\tv0001.pbm\n", "line 1: bad numbers"),
-        ("1\t1_0\tdeadbeef\tv0001.pbm\n", "line 1: bad numbers"),
+        ("+1\t0\tcrc32:deadbeef\tv0001.pbm\n", "line 1: bad numbers"),
+        (" 1\t+5\tcrc32:deadbeef\tv0001.pbm\n", "line 1: bad numbers"),
+        ("\u0661\t0\tcrc32:deadbeef\tv0001.pbm\n", "line 1: bad numbers"),
+        ("1\t1_0\tcrc32:deadbeef\tv0001.pbm\n", "line 1: bad numbers"),
         # a version names its own file, never another path
-        ("1\t0\tdeadbeef\tv0002.pbm\n", "line 1: path 'v0002.pbm', expected 'v0001.pbm'"),
-        ("1\t0\tdeadbeef\tv0001.pbm\n2\t0\tdeadbeef\t/etc/hostname\n",
+        ("1\t0\tcrc32:deadbeef\tv0002.pbm\n",
+         "line 1: path 'v0002.pbm', expected 'v0001.pbm'"),
+        ("1\t0\tcrc32:deadbeef\tv0001.pbm\n2\t0\tcrc32:deadbeef\t/etc/hostname\n",
          "line 2: path '/etc/hostname', expected 'v0002.pbm'"),
-        ("1\t0\tdeadbeef\t../v0001.pbm\n", "line 1: path '../v0001.pbm', expected 'v0001.pbm'"),
+        ("1\t0\tcrc32:deadbeef\t../v0001.pbm\n",
+         "line 1: path '../v0001.pbm', expected 'v0001.pbm'"),
+        # a checksum is crc32: and 8 lowercase hex digits, or 16 (legacy FNV-1a)
+        ("1\t0\tdeadbeef\tv0001.pbm\n", "line 1: bad checksum"),
+        ("1\t0\tcrc32:DEADBEEF\tv0001.pbm\n", "line 1: bad checksum"),
+        ("1\t0\tcrc32:deadbee\tv0001.pbm\n", "line 1: bad checksum"),
+        ("1\t0\tcrc32:deadbeef0\tv0001.pbm\n", "line 1: bad checksum"),
+        ("1\t0\tcrc32:deadbeef\tv0001.pbm\n2\t0\t85944171f73967e\tv0002.pbm\n",
+         "line 2: bad checksum"),
+        ("1\t0\t85944171F73967E8\tv0001.pbm\n", "line 1: bad checksum"),
+        ("1\t0\tsha256:" + "0" * 64 + "\tv0001.pbm\n", "line 1: bad checksum"),
+        ("1\t0\t\tv0001.pbm\n", "line 1: bad checksum"),
     ]:
         manifest.write_text(text, encoding="utf-8")
         with pytest.raises(RepoError, match=re.escape(message)):
             repo_log(str(tmp_path))
+
+
+def test_manifest_that_is_not_utf8_is_a_repo_error(tmp_path, campus_doc):
+    repo = str(tmp_path)
+    repo_commit(repo, campus_doc)
+    manifest = tmp_path / MANIFEST_NAME
+    with open(manifest, "ab") as handle:
+        handle.write(b"2\t0\tcrc32:deadbeef\tv0002\xff.pbm\n")
+    with pytest.raises(RepoError, match=r"^manifest line 2: not UTF-8$"):
+        repo_log(repo)
+
+
+def test_stored_file_that_is_not_utf8_is_a_repo_error(tmp_path, campus_doc):
+    repo = str(tmp_path)
+    repo_commit(repo, campus_doc)
+    data = b'meta note "\xff"\n'
+    (tmp_path / "v0001.pbm").write_bytes(data)
+    first = (tmp_path / MANIFEST_NAME).read_text().split("\t")
+    first[2] = checksum_hex(data)  # the checksum matches: only the decode fails
+    (tmp_path / MANIFEST_NAME).write_text("\t".join(first))
+    with pytest.raises(RepoError, match=r"^cannot decode v0001.pbm$"):
+        repo_load(repo, 1)
+
+
+def test_legacy_fnv_versions_still_load(tmp_path, campus_doc):
+    # a repository whose manifest holds 16-hex FNV-1a entries, as earlier
+    # releases wrote them, takes new crc32: versions on top
+    repo = str(tmp_path)
+    data = serialize(campus_doc).encode("utf-8")
+    (tmp_path / "v0001.pbm").write_bytes(data)
+    (tmp_path / MANIFEST_NAME).write_text(
+        f"1\t1786747236\t{fnv1a64(data):016x}\tv0001.pbm\n", encoding="utf-8"
+    )
+    compiled = _compiled(campus_doc)
+    entry = repo_commit(repo, compiled)
+    assert re.fullmatch(r"crc32:[0-9a-f]{8}", entry.checksum)
+    assert [e.checksum for e in repo_log(repo)] == [f"{fnv1a64(data):016x}", entry.checksum]
+    assert repo_load(repo, 1) == campus_doc
+    assert repo_load(repo, 2) == compiled
+    (tmp_path / "v0001.pbm").write_bytes(data.replace(b"pbm v1", b"pbm v2"))
+    with pytest.raises(RepoError, match="checksum mismatch for v0001.pbm"):
+        repo_load(repo, 1)
 
 
 # -- live service ----------------------------------------------------------------
@@ -624,14 +683,8 @@ def test_commits_between_requests_give_one_sync(tmp_path, campus_doc):
 
 
 @pytest.fixture()
-def padded(campus_doc, monkeypatch):
-    """The campus document padded to about 400 kB, so its SYNC fills buffers fast.
-
-    Every version a test commits stores this same text, so its checksum
-    and its parse, about 80 and 110 ms each, are computed once.
-    """
-    monkeypatch.setattr(netrepo, "checksum_hex", functools.lru_cache(2)(checksum_hex))
-    monkeypatch.setattr(netrepo, "parse", functools.lru_cache(2)(parse))
+def padded(campus_doc):
+    """The campus document padded to about 400 kB, so its SYNC fills buffers fast."""
     return dataclasses.replace(campus_doc, meta={**campus_doc.meta, "pad": "x" * 400_000})
 
 
@@ -787,6 +840,31 @@ def test_watcher_logs_a_failed_load_once(tmp_path, campus_doc, caplog):
     assert record.levelno == logging.WARNING
     assert "cannot load version 2, still serving version 1" in record.getMessage()
     assert "checksum mismatch for v0002.pbm" in record.getMessage()
+
+
+def test_watcher_outlives_a_manifest_that_is_not_utf8(tmp_path, campus_doc, monkeypatch):
+    repo = str(tmp_path)
+    repo_commit(repo, campus_doc)  # v1: no rules
+    manifest = tmp_path / MANIFEST_NAME
+    good = manifest.read_bytes()
+    failures = threading.Semaphore(0)
+    log = netrepo.repo_log
+
+    def watched(repo_dir):
+        try:
+            return log(repo_dir)
+        except Exception:
+            failures.release()
+            raise
+
+    monkeypatch.setattr(netrepo, "repo_log", watched)
+    with PdpServer(repo, poll_interval=0.005) as server:
+        manifest.write_bytes(good + b"\xff\n")
+        for _ in range(3):  # the watcher polls the broken manifest, and again
+            assert failures.acquire(timeout=5.0), "the watcher never read the manifest"
+        manifest.write_bytes(good)
+        repo_commit(repo, _compiled(campus_doc))  # v2: sixteen rules
+        _wait_for_version(server, 2, time.monotonic() + 2.0)
 
 
 def test_malformed_request_answered_with_error(tmp_path, campus_doc):

@@ -817,6 +817,58 @@ def test_translate_fixture_rules(campus):
     ]
 
 
+def _device_covers(line, protocol, port):
+    """Whether a shaperconf line's proto and ports fields admit (protocol, port)."""
+    fields = dict(part.split("=", 1) for part in line.split() if "=" in part)
+    if fields["proto"] == "mixed":
+        ports = dict(entry.split(":") for entry in fields["ports"].split(";")).get(protocol)
+    else:
+        ports = fields["ports"] if fields["proto"] in ("any", protocol) else None
+    if ports is None or ports == "any":
+        return ports is not None
+    for span in ports.split(","):
+        low, _, high = span.partition("-")
+        if int(low) <= port <= int(high or low):
+            return True
+    return False
+
+
+def test_translate_keeps_each_protocol_to_its_ports():
+    # `proto=any ports=20,21` would also admit udp 20 and tcp 21
+    catalogs = parse(
+        "service FTP { tcp 20, udp 21 }\n"
+        "service DNS { any 53, tcp 853 }\n"
+        "service Web { tcp 80, any 80 }\n"
+        'service "P2P Applications" { tcp 6881-6889, udp 6881-6889 }\n'
+    ).catalogs
+    allow = ActionSet(Admission.ALLOW, None, None)
+    shaper = DEFAULT_PROFILES["shaper"]
+    for service, expected in [
+        ("FTP", "proto=mixed ports=tcp:20;udp:21"),
+        ("DNS", "proto=mixed ports=tcp:53,853;udp:53"),
+        ("Web", "proto=any ports=80"),
+        ("P2P Applications", "proto=any ports=6881-6889"),
+    ]:
+        rule = _rule("R1", 1, allow, Condition("any", "any", service, "any"))
+        [line] = translate_to_device(rule, catalogs, shaper)
+        assert f" {expected} " in line, line
+    # every generated service renders as exactly the ports it covers
+    rng = random.Random(20261020)
+    for _ in range(200):
+        rules, catalogs = gen_catalogs_and_rules(rng)
+        for rule in rules:
+            service = catalogs.service_class(rule.condition.service)
+            [line] = translate_to_device(rule, catalogs, shaper)
+            probes = {0, 65535} | {
+                port for low, high in service.spans("tcp") + service.spans("udp")
+                for port in (low - 1, low, high - 1, high)
+            }
+            for protocol in ("tcp", "udp"):
+                for port in probes - {-1, 65536}:
+                    covered = any(low <= port < high for low, high in service.spans(protocol))
+                    assert _device_covers(line, protocol, port) == covered, (line, protocol, port)
+
+
 def test_translate_filter_profile_rejects_bandwidth(campus):
     doc, rules = campus
     by_id = {r.id: r for r in rules}
